@@ -40,6 +40,7 @@ pub mod admission;
 pub mod client;
 pub mod net;
 pub mod proto;
+pub mod resident;
 pub mod server;
 pub mod shard;
 pub mod signal;

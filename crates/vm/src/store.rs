@@ -712,20 +712,23 @@ impl Store {
         )
     }
 
-    /// Merge one run's counters into the stored lifetime profile, under
-    /// the store lock: load (recovering from corruption), saturating-add,
-    /// write back atomically.
+    /// Merge the counters of `runs` runs into the stored lifetime
+    /// profile, under the store lock: load (recovering from corruption),
+    /// saturating-add, write back atomically. One run is `runs == 1`; a
+    /// daemon's group commit passes the merged delta of every run in its
+    /// window, so the whole batch costs one journaled write.
     ///
     /// # Errors
     ///
     /// [`StoreError::Locked`] when another writer holds the store past the
     /// retry budget, [`StoreError::Io`] on write failure. In both cases
-    /// the on-disk state is unchanged (this run's counts are simply not
+    /// the on-disk state is unchanged (these runs' counts are simply not
     /// recorded — the always-make-progress posture).
-    pub fn record_run(
+    pub fn record_runs(
         &self,
         module_hash: u64,
-        run: &ProfileData,
+        delta: &ProfileData,
+        runs: u64,
     ) -> Result<Loaded<StoredProfile>, StoreError> {
         let _guard = self.lock()?;
         let loaded = self.load_profile(module_hash)?;
@@ -736,8 +739,8 @@ impl Store {
         if let Some(prev) = loaded.value {
             merged = prev;
         }
-        merged.profile.merge_saturating(run);
-        merged.runs = merged.runs.saturating_add(1);
+        merged.profile.merge_saturating(delta);
+        merged.runs = merged.runs.saturating_add(runs);
         self.save_profile_locked(module_hash, &merged.profile, merged.runs)?;
         Ok(Loaded {
             value: merged,
@@ -1296,10 +1299,11 @@ pub enum FlushOutcome {
 /// RAII guard that flushes one run's profile delta into the store
 /// **exactly once** — on explicit [`FlushGuard::flush`] (the happy path,
 /// so the caller can report quarantines) or on drop (early-return, trap,
-/// and panic paths). Both the `lpatc run` driver and `lpatd` workers
-/// funnel their profile persistence through this one type, so no exit
-/// route can flush twice (double-counting a run) or zero times (losing
-/// the crashing runs the lifelong profile most needs).
+/// and panic paths). The `lpatc run` driver funnels its profile
+/// persistence through this one type, so no exit route can flush twice
+/// (double-counting a run) or zero times (losing the crashing runs the
+/// lifelong profile most needs). `lpatd` hands its deltas to a
+/// group-committing accumulator in the same RAII shape instead.
 pub struct FlushGuard<'s> {
     store: Option<&'s Store>,
     run_hash: u64,
@@ -1344,7 +1348,7 @@ impl<'s> FlushGuard<'s> {
             (Some(s), Some(d)) => (s, d),
             _ => return FlushOutcome::Skipped,
         };
-        match store.record_run(self.run_hash, &delta) {
+        match store.record_runs(self.run_hash, &delta, 1) {
             Ok(loaded) => FlushOutcome::Flushed(Box::new(loaded)),
             Err(e) => FlushOutcome::Failed(e),
         }
@@ -1410,9 +1414,9 @@ mod tests {
         let store = Store::open(tmpdir("roundtrip")).unwrap();
         let h = 0xABCD;
         assert!(store.load_profile(h).unwrap().value.is_none());
-        let r1 = store.record_run(h, &sample_profile()).unwrap();
+        let r1 = store.record_runs(h, &sample_profile(), 1).unwrap();
         assert_eq!(r1.value.runs, 1);
-        let r2 = store.record_run(h, &sample_profile()).unwrap();
+        let r2 = store.record_runs(h, &sample_profile(), 1).unwrap();
         assert_eq!(r2.value.runs, 2);
         let loaded = store.load_profile(h).unwrap().value.unwrap();
         assert_eq!(
@@ -1423,6 +1427,24 @@ mod tests {
             20,
             "two runs merge to exactly doubled counts"
         );
+    }
+
+    #[test]
+    fn one_batched_record_equals_the_single_records_it_replaces() {
+        let single = Store::open(tmpdir("batch-single")).unwrap();
+        let batched = Store::open(tmpdir("batch-merged")).unwrap();
+        let h = 0xBA7C;
+        let mut delta = ProfileData::default();
+        for _ in 0..3 {
+            single.record_runs(h, &sample_profile(), 1).unwrap();
+            delta.merge_saturating(&sample_profile());
+        }
+        batched.record_runs(h, &delta, 3).unwrap();
+        let a = single.load_profile(h).unwrap().value.unwrap();
+        let b = batched.load_profile(h).unwrap().value.unwrap();
+        assert_eq!(a.runs, 3);
+        assert_eq!(b.runs, 3);
+        assert_eq!(a.profile.to_bytes(), b.profile.to_bytes());
     }
 
     #[test]
@@ -1517,7 +1539,7 @@ mod tests {
         ));
         assert!(out.quarantined[0].moved_to.as_ref().unwrap().exists());
         // Regeneration starts fresh: the v1 counters are gone, not merged.
-        let r = store.record_run(h, &sample_profile()).unwrap();
+        let r = store.record_runs(h, &sample_profile(), 1).unwrap();
         assert_eq!(r.value.runs, 1, "regenerated from empty, not from v1");
         let reloaded = store.load_profile(h).unwrap().value.unwrap();
         assert_eq!(reloaded.runs, 1);
@@ -1567,8 +1589,8 @@ mod tests {
         store.faults = plan("store.lock:panic");
         let err = store.lock().unwrap_err();
         assert_eq!(err, StoreError::Locked);
-        // record_run surfaces Locked without touching the cache.
-        let err = store.record_run(0x55, &sample_profile()).unwrap_err();
+        // record_runs surfaces Locked without touching the cache.
+        let err = store.record_runs(0x55, &sample_profile(), 1).unwrap_err();
         assert_eq!(err, StoreError::Locked);
         assert!(!store.profile_path(0x55).exists());
         // Transient contention: first two attempts fail, then success.

@@ -784,7 +784,8 @@ fn remote(rest: &[String], diag: &mut Diag) -> Result<ExitCode, String> {
 
 /// `lpatc remote top --connect ADDR` — a refreshing live view of a
 /// running daemon: req/s, latency/queue-wait quantiles, worker states,
-/// and crash/quarantine counters, all scraped from the `Stats` op's
+/// crash/quarantine counters, and the payload memo and profile group
+/// commit counters, all scraped from the `Stats` op's
 /// `lpat-serve-stats/v2` JSON once per `--interval-ms` (default 1000).
 /// `--iterations N` stops after N polls (0 = until interrupted), which
 /// is how scripts and tests get one deterministic snapshot.
@@ -868,6 +869,15 @@ fn remote_top(rest: &[String]) -> Result<ExitCode, String> {
             n("watchdog_kills"),
             n("quarantined"),
             n("flight_salvaged"),
+        );
+        println!(
+            "memo hits {} misses {}   profile commits {} runs {} pending {} flush failures {}",
+            n("memo_hits"),
+            n("memo_misses"),
+            n("profile_commits"),
+            n("profile_runs_committed"),
+            n("profile_runs_pending"),
+            n("profile_flush_failures"),
         );
         println!(
             "{:<24} {:>8} {:>8} {:>8} {:>8} {:>10}",
