@@ -1,19 +1,16 @@
 //! `vmperf` — the VM execution-engine benchmark.
 //!
-//! Runs every workload under seven engines — the reference interpreter,
-//! the full JIT (translate everything on first call), the full native
-//! backend (every function straight to risc32 machine code), the tiered
-//! engine cold (counter-driven promotion), the tiered engine warm-started
-//! from a prior run's profile, the three-tier engine (interp → JIT →
-//! machine code, counter-driven), and the tiered engine over the full
-//! lifelong cycle (offline profile-guided reoptimization plus speculation
-//! with guards, warm-started) — and emits `BENCH_vm.json`
-//! (`lpat-bench-vm/v3`): per-workload wall time (best of N reps),
-//! instructions/second, translation time, promotion counts, machine-code
-//! tier counters for the native rows, and guard / deoptimization counts
-//! for the speculative rows, plus the headline geomeans (tiered vs.
-//! interpreter, warm vs. cold, spec-warm vs. cold, native vs. JIT, and
-//! three-tier vs. two-tier).
+//! Runs every workload under four engines — the reference interpreter,
+//! the tiered engine cold (the interp → JIT → machine-code ladder,
+//! counter-driven), the tiered engine warm-started from a prior run's
+//! profile, and the tiered engine over the full lifelong cycle (offline
+//! profile-guided reoptimization plus speculation with guards,
+//! warm-started) — and emits `BENCH_vm.json` (`lpat-bench-vm/v4`):
+//! per-workload wall time (best of N reps), instructions/second,
+//! translation time, promotion counts, machine-code tier counters,
+//! demotions by bail reason, and guard / deoptimization counts for the
+//! speculative rows, plus the headline geomeans (tiered vs. interpreter,
+//! warm vs. cold, spec-warm vs. cold).
 //!
 //! Every engine's program output and exit code are asserted identical to
 //! the interpreter's before any timing is reported — a benchmark of a
@@ -36,35 +33,16 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use lpat_transform::{SpecMap, SpecOptions};
-use lpat_vm::{PgoOptions, Vm, VmOptions};
+use lpat_vm::{PgoOptions, TierStats, Vm, VmOptions};
 
 /// Engine rows in artifact order. `interp` is ground truth and always runs.
-const ENGINES: [&str; 7] = [
-    "interp",
-    "jit",
-    "native",
-    "tiered",
-    "tiered_warm",
-    "tiered_native",
-    "tiered_spec",
-];
-
-/// Extra hotness (beyond JIT promotion) before the three-tier engine's
-/// counter-driven rise to machine code.
-const NATIVE_UP: u64 = 200;
+const ENGINES: [&str; 4] = ["interp", "tiered", "tiered_warm", "tiered_spec"];
 
 #[derive(Clone, Default)]
 struct EngineResult {
     wall_ms: f64,
     insts: u64,
-    translate_ms: f64,
-    native_translate_ms: f64,
-    promoted: u64,
-    warmed: u64,
-    osr: u64,
-    native_promoted: u64,
-    native_osr: u64,
-    native_insts: u64,
+    tier: TierStats,
     guards: u64,
     guard_passed: u64,
     guard_failed: u64,
@@ -81,7 +59,8 @@ impl EngineResult {
     }
 }
 
-/// Run `main` once under the selected engine, returning the result row
+/// Run `main` once under the interpreter (`engine` "interp") or the
+/// tiered engine at the default thresholds, returning the result row
 /// plus the observed (exit, output) pair for cross-engine verification.
 fn run_once(
     m: &lpat_core::Module,
@@ -89,21 +68,7 @@ fn run_once(
     warm: Option<&lpat_vm::ProfileData>,
     spec: Option<&Rc<SpecMap>>,
 ) -> (EngineResult, i64, String) {
-    let mut opts = VmOptions::default();
-    match engine {
-        // Everything straight to machine code on first call: the native
-        // analogue of the `jit` row.
-        "native" => {
-            opts.tier_up = 0;
-            opts.native_up = Some(0);
-        }
-        // The genuine three-tier ladder: interpret, promote to JIT at the
-        // default threshold, then to machine code after NATIVE_UP more
-        // hotness on the JIT tier.
-        "tiered_native" => opts.native_up = Some(NATIVE_UP),
-        _ => {}
-    }
-    let mut vm = Vm::new(m, opts).expect("vm init");
+    let mut vm = Vm::new(m, VmOptions::default()).expect("vm init");
     if let Some(map) = spec {
         vm.install_speculation(map.clone(), map.len() as u64, 0);
     }
@@ -113,25 +78,16 @@ fn run_once(
     let t0 = Instant::now();
     let code = match engine {
         "interp" => vm.run_main(),
-        "jit" => vm.run_main_jit(),
         _ => vm.run_main_tiered(),
     }
     .unwrap_or_else(|e| panic!("{}: {engine}: {e}", m.name));
     let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    let t = &vm.tier_stats;
     let s = &vm.spec_stats;
     (
         EngineResult {
             wall_ms,
             insts: vm.insts_executed,
-            translate_ms: t.translate_ns as f64 / 1e6,
-            native_translate_ms: t.native_translate_ns as f64 / 1e6,
-            promoted: t.promoted,
-            warmed: t.warmed,
-            osr: t.osr,
-            native_promoted: t.native_promoted,
-            native_osr: t.native_osr,
-            native_insts: t.native_insts,
+            tier: vm.tier_stats.clone(),
             guards: s.emitted,
             guard_passed: s.passed,
             guard_failed: s.failed,
@@ -180,6 +136,15 @@ fn jnum(v: f64) -> String {
     } else {
         format!("{v:.3}")
     }
+}
+
+/// A demotion-reason map as a JSON object (`{"float": 2}`).
+fn jcounts(counts: &BTreeMap<&'static str, u64>) -> String {
+    let fields: Vec<String> = counts
+        .iter()
+        .map(|(k, n)| format!("\"{k}\": {n}"))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 /// Shell-style glob match: `*` any run, `?` any one char, else literal.
@@ -363,18 +328,15 @@ fn main() {
     let g_tiered = geomean(&ratio("tiered", "interp"));
     let g_warm = geomean(&ratio("tiered_warm", "tiered"));
     let g_spec = geomean(&ratio("tiered_spec", "tiered"));
-    let g_native = geomean(&ratio("native", "jit"));
-    let g_tnative = geomean(&ratio("tiered_native", "tiered"));
     println!(
         "\ngeomean speedup  tiered vs interp: {g_tiered:.2}x   warm vs cold: {g_warm:.2}x   \
-         spec-warm vs cold: {g_spec:.2}x\n\
-         \x20                native vs jit: {g_native:.2}x   three-tier vs two-tier: {g_tnative:.2}x"
+         spec-warm vs cold: {g_spec:.2}x"
     );
 
     // Hand-serialized (the workspace has no serde); validated below.
     let mut j = String::new();
     j.push_str("{\n");
-    j.push_str("  \"schema\": \"lpat-bench-vm/v3\",\n");
+    j.push_str("  \"schema\": \"lpat-bench-vm/v4\",\n");
     j.push_str(&format!("  \"scale\": {scale},\n"));
     j.push_str(&format!("  \"reps\": {reps},\n"));
     j.push_str("  \"workloads\": [\n");
@@ -387,25 +349,28 @@ fn main() {
                 r.insts,
                 jnum(r.insts_per_sec()),
             );
-            // The interpreter row carries no translate_ms: nothing
+            // The interpreter row carries no tier counters: nothing
             // translates.
             if e != "interp" {
-                s.push_str(&format!(", \"translate_ms\": {}", jnum(r.translate_ms)));
-            }
-            if e.starts_with("tiered") {
+                let t = &r.tier;
                 s.push_str(&format!(
-                    ", \"promoted\": {}, \"warmed\": {}, \"osr\": {}",
-                    r.promoted, r.warmed, r.osr
-                ));
-            }
-            if e == "native" || e == "tiered_native" {
-                s.push_str(&format!(
-                    ", \"native_translate_ms\": {}, \"native_promoted\": {}, \
-                     \"native_osr\": {}, \"native_insts\": {}",
-                    jnum(r.native_translate_ms),
-                    r.native_promoted,
-                    r.native_osr,
-                    r.native_insts
+                    ", \"translate_ms\": {}, \"promoted\": {}, \"warmed\": {}, \"osr\": {}, \
+                     \"demoted\": {}, \"demoted_by\": {}, \
+                     \"native_translate_ms\": {}, \"native_promoted\": {}, \
+                     \"native_osr\": {}, \"native_insts\": {}, \
+                     \"native_demoted\": {}, \"native_demoted_by\": {}",
+                    jnum(t.translate_ns as f64 / 1e6),
+                    t.promoted,
+                    t.warmed,
+                    t.osr,
+                    t.demoted,
+                    jcounts(&t.demoted_by),
+                    jnum(t.native_translate_ns as f64 / 1e6),
+                    t.native_promoted,
+                    t.native_osr,
+                    t.native_insts,
+                    t.native_demoted,
+                    jcounts(&t.native_demoted_by),
                 ));
             }
             if e == "tiered_spec" {
@@ -440,16 +405,8 @@ fn main() {
         jnum(g_warm)
     ));
     j.push_str(&format!(
-        "  \"geomean_speedup_spec_warm_vs_cold\": {},\n",
+        "  \"geomean_speedup_spec_warm_vs_cold\": {}\n",
         jnum(g_spec)
-    ));
-    j.push_str(&format!(
-        "  \"geomean_speedup_native_vs_jit\": {},\n",
-        jnum(g_native)
-    ));
-    j.push_str(&format!(
-        "  \"geomean_speedup_tiered_native_vs_tiered\": {}\n",
-        jnum(g_tnative)
     ));
     j.push_str("}\n");
 

@@ -341,18 +341,21 @@ fn json_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Validate a `BENCH_vm.json` document against the `lpat-bench-vm/v3`
-/// schema (v2 plus the machine-code tier: the full-native `native` and
-/// three-tier `tiered_native` engines with native translation/promotion/
-/// OSR/instruction counters, and the native-vs-JIT and
-/// three-tier-vs-two-tier geomeans). Earlier schema tags are rejected
-/// outright — a v1/v2 file has no native rows and must be regenerated.
-/// Used by `vmperf` to self-check its output and by the CI smoke job to
-/// validate the committed artifact.
+/// Validate a `BENCH_vm.json` document against the `lpat-bench-vm/v4`
+/// schema: four engines (`interp` and three rows of the one tiered
+/// engine, whose ladder always includes the machine-code rung), each
+/// tiered row with JIT and native translation/promotion/OSR counters and
+/// its demotions split by bail reason (`demoted_by`,
+/// `native_demoted_by`: keys from `lpat_codegen::fast::bail::ALL`,
+/// summing to `demoted` / `native_demoted`), plus the tiered-vs-interp,
+/// warm-vs-cold and spec-vs-cold geomeans. Earlier schema tags are
+/// rejected outright — a v3 file benchmarks engines that no longer
+/// exist and must be regenerated. Used by `vmperf` to self-check its
+/// output and by the CI smoke job to validate the committed artifact.
 pub fn validate_vm_bench(text: &str) -> Result<(), String> {
     let doc = parse_json(text)?;
-    if doc.get("schema").and_then(Json::str) != Some("lpat-bench-vm/v3") {
-        return Err("schema must be \"lpat-bench-vm/v3\"".into());
+    if doc.get("schema").and_then(Json::str) != Some("lpat-bench-vm/v4") {
+        return Err("schema must be \"lpat-bench-vm/v4\"".into());
     }
     for key in ["scale", "reps"] {
         doc.get(key)
@@ -374,15 +377,7 @@ pub fn validate_vm_bench(text: &str) -> Result<(), String> {
         let engines = w
             .get("engines")
             .ok_or_else(|| format!("{name}: missing 'engines'"))?;
-        for eng in [
-            "interp",
-            "jit",
-            "native",
-            "tiered",
-            "tiered_warm",
-            "tiered_native",
-            "tiered_spec",
-        ] {
+        for eng in ["interp", "tiered", "tiered_warm", "tiered_spec"] {
             let e = engines
                 .get(eng)
                 .ok_or_else(|| format!("{name}: missing engine '{eng}'"))?;
@@ -392,19 +387,11 @@ pub fn validate_vm_bench(text: &str) -> Result<(), String> {
                     .ok_or_else(|| format!("{name}.{eng}: missing numeric '{field}'"))?;
             }
             if eng != "interp" {
-                e.get("translate_ms")
-                    .and_then(Json::num)
-                    .ok_or_else(|| format!("{name}.{eng}: missing 'translate_ms'"))?;
-            }
-            if eng.starts_with("tiered") {
-                for field in ["promoted", "osr", "warmed"] {
-                    e.get(field)
-                        .and_then(Json::num)
-                        .ok_or_else(|| format!("{name}.{eng}: missing '{field}'"))?;
-                }
-            }
-            if eng == "native" || eng == "tiered_native" {
                 for field in [
+                    "translate_ms",
+                    "promoted",
+                    "osr",
+                    "warmed",
                     "native_translate_ms",
                     "native_promoted",
                     "native_osr",
@@ -413,6 +400,32 @@ pub fn validate_vm_bench(text: &str) -> Result<(), String> {
                     e.get(field)
                         .and_then(Json::num)
                         .ok_or_else(|| format!("{name}.{eng}: missing '{field}'"))?;
+                }
+                for (total, by) in [
+                    ("demoted", "demoted_by"),
+                    ("native_demoted", "native_demoted_by"),
+                ] {
+                    let want = e
+                        .get(total)
+                        .and_then(Json::num)
+                        .ok_or_else(|| format!("{name}.{eng}: missing '{total}'"))?;
+                    let Some(Json::Obj(reasons)) = e.get(by) else {
+                        return Err(format!("{name}.{eng}: missing object '{by}'"));
+                    };
+                    let mut sum = 0.0;
+                    for (reason, n) in reasons {
+                        if !lpat_codegen::fast::bail::ALL.contains(&reason.as_str()) {
+                            return Err(format!("{name}.{eng}.{by}: unknown reason '{reason}'"));
+                        }
+                        sum += n
+                            .num()
+                            .ok_or_else(|| format!("{name}.{eng}.{by}.{reason}: not a number"))?;
+                    }
+                    if sum != want {
+                        return Err(format!(
+                            "{name}.{eng}: '{by}' sums to {sum}, '{total}' is {want}"
+                        ));
+                    }
                 }
             }
             if eng == "tiered_spec" {
@@ -428,8 +441,6 @@ pub fn validate_vm_bench(text: &str) -> Result<(), String> {
         "geomean_speedup_tiered_vs_interp",
         "geomean_speedup_warm_vs_cold",
         "geomean_speedup_spec_warm_vs_cold",
-        "geomean_speedup_native_vs_jit",
-        "geomean_speedup_tiered_native_vs_tiered",
     ] {
         doc.get(key)
             .and_then(Json::num)
@@ -643,50 +654,48 @@ mod tests {
     #[test]
     fn vm_bench_validator_accepts_good_and_rejects_bad() {
         let good = r#"{
-  "schema": "lpat-bench-vm/v3", "scale": 0, "reps": 3,
+  "schema": "lpat-bench-vm/v4", "scale": 0, "reps": 3,
   "workloads": [
     {"name": "w", "engines": {
       "interp": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000},
-      "jit": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1},
-      "native": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                 "native_translate_ms": 0.1, "native_promoted": 2, "native_osr": 0,
-                 "native_insts": 10},
       "tiered": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                 "promoted": 2, "warmed": 0, "osr": 1},
+                 "promoted": 2, "warmed": 0, "osr": 1, "demoted": 0, "demoted_by": {},
+                 "native_translate_ms": 0.1, "native_promoted": 1, "native_osr": 1,
+                 "native_insts": 5, "native_demoted": 3,
+                 "native_demoted_by": {"float": 2, "guard": 1}},
       "tiered_warm": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                      "promoted": 2, "warmed": 2, "osr": 0},
-      "tiered_native": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                        "promoted": 2, "warmed": 0, "osr": 1,
-                        "native_translate_ms": 0.1, "native_promoted": 1, "native_osr": 1,
-                        "native_insts": 5},
+                      "promoted": 2, "warmed": 2, "osr": 0, "demoted": 0, "demoted_by": {},
+                      "native_translate_ms": 0.1, "native_promoted": 1, "native_osr": 0,
+                      "native_insts": 5, "native_demoted": 0, "native_demoted_by": {}},
       "tiered_spec": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                      "promoted": 2, "warmed": 2, "osr": 0,
+                      "promoted": 2, "warmed": 2, "osr": 0, "demoted": 0, "demoted_by": {},
+                      "native_translate_ms": 0.1, "native_promoted": 1, "native_osr": 0,
+                      "native_insts": 5, "native_demoted": 0, "native_demoted_by": {},
                       "guards": 1, "guard_passed": 9, "guard_failed": 1, "deopts": 1}
     }}
   ],
   "geomean_speedup_tiered_vs_interp": 1.8,
   "geomean_speedup_warm_vs_cold": 1.1,
-  "geomean_speedup_spec_warm_vs_cold": 1.4,
-  "geomean_speedup_native_vs_jit": 1.3,
-  "geomean_speedup_tiered_native_vs_tiered": 1.2
+  "geomean_speedup_spec_warm_vs_cold": 1.4
 }"#;
         validate_vm_bench(good).unwrap();
         assert!(validate_vm_bench("{}").is_err());
-        // Earlier schema tags must be rejected: v1/v2 files lack the
-        // machine-code-tier rows and must be regenerated, not trusted.
-        assert!(validate_vm_bench(&good.replace("lpat-bench-vm/v3", "lpat-bench-vm/v1")).is_err());
-        assert!(validate_vm_bench(&good.replace("lpat-bench-vm/v3", "lpat-bench-vm/v2")).is_err());
+        // Earlier schema tags must be rejected: a v3 file benchmarks the
+        // deleted pure-JIT and optional-native engines.
+        for old in ["v1", "v2", "v3"] {
+            let tag = format!("lpat-bench-vm/{old}");
+            assert!(validate_vm_bench(&good.replace("lpat-bench-vm/v4", &tag)).is_err());
+        }
         assert!(validate_vm_bench(&good.replace("\"tiered\":", "\"other\":")).is_err());
-        assert!(validate_vm_bench(&good.replace("\"native\":", "\"other\":")).is_err());
         assert!(validate_vm_bench(&good.replace("\"promoted\": 2,", "")).is_err());
-        assert!(validate_vm_bench(&good.replace("\"native_promoted\": 2,", "")).is_err());
+        assert!(validate_vm_bench(&good.replace("\"native_promoted\": 1,", "")).is_err());
         assert!(validate_vm_bench(&good.replace("\"guards\": 1,", "")).is_err());
+        // Demotion reasons: closed key set, and they add up.
+        assert!(validate_vm_bench(&good.replace("\"float\": 2", "\"floaty\": 2")).is_err());
+        assert!(validate_vm_bench(&good.replace("\"float\": 2", "\"float\": 1")).is_err());
+        assert!(validate_vm_bench(&good.replacen("\"demoted_by\": {},", "", 1)).is_err());
         assert!(validate_vm_bench(
             &good.replace("\"geomean_speedup_spec_warm_vs_cold\": 1.4", "\"x\": 1")
-        )
-        .is_err());
-        assert!(validate_vm_bench(
-            &good.replace("\"geomean_speedup_native_vs_jit\": 1.3", "\"x\": 1")
         )
         .is_err());
     }

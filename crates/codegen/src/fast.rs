@@ -26,9 +26,10 @@
 //!   function, demoting it to the `LowFunc` JIT tier;
 //! * floats always bail: the risc32 executable subset is an integer file.
 //!
-//! Bailing is an `Err(String)` from [`translate_fast`]; it is a *tiering*
-//! decision, never a semantic one. The VM keeps such functions on the JIT
-//! tier, which handles every type.
+//! Bailing is an `Err(`[`Bail`]`)` from [`translate_fast`]; it is a
+//! *tiering* decision, never a semantic one. The VM keeps such functions
+//! on the JIT tier, which handles every type, and counts them by the
+//! bail's [`bail`] reason.
 //!
 //! ## Register file
 //!
@@ -169,9 +170,87 @@ impl Class {
     }
 }
 
+/// The closed set of reasons a translator gives up on a function. The
+/// VM counts demotions per reason (`TierStats`), so the set stays small
+/// and fixed; the free-form detail travels in [`Bail::detail`].
+pub mod bail {
+    /// A float value or constant: the risc32 subset is an integer file.
+    pub const FLOAT: &str = "float";
+    /// A compare (or a test against zero) on a 64-bit integer.
+    pub const COMPARE64: &str = "compare64";
+    /// A 64-bit operation whose result needs the high word (shift,
+    /// division, remainder).
+    pub const OP64: &str = "op64";
+    /// A 64-bit value crossing a store, return, or call boundary.
+    pub const VALUE64: &str = "value64";
+    /// A speculation guard: deoptimization is the JIT tier's job.
+    pub const GUARD: &str = "guard";
+    /// A varargs function or `vaarg`.
+    pub const VARARGS: &str = "varargs";
+    /// A frame, edge, switch or call-site count past the encoding's
+    /// field widths.
+    pub const ENCODING_LIMIT: &str = "encoding_limit";
+    /// An injected `jit.translate` / `native.translate` fault (set by the
+    /// VM, never by a translator).
+    pub const INJECTED_FAULT: &str = "injected_fault";
+    /// Anything else (malformed or unsupported IR).
+    pub const OTHER: &str = "other";
+    /// Every reason, in reporting order.
+    pub const ALL: [&str; 9] = [
+        FLOAT,
+        COMPARE64,
+        OP64,
+        VALUE64,
+        GUARD,
+        VARARGS,
+        ENCODING_LIMIT,
+        INJECTED_FAULT,
+        OTHER,
+    ];
+}
+
+/// Why a translation gave up: one [`bail`] reason plus the exact
+/// construct, for the trace.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Bail {
+    /// One of [`bail::ALL`].
+    pub reason: &'static str,
+    /// What the translator refused, in words.
+    pub detail: String,
+}
+
+impl Bail {
+    /// A bail for `reason` with `detail`.
+    pub fn new(reason: &'static str, detail: impl Into<String>) -> Bail {
+        Bail {
+            reason,
+            detail: detail.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for Bail {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} ({})", self.detail, self.reason)
+    }
+}
+
+/// Unclassified bails: malformed or unsupported IR.
+impl From<&str> for Bail {
+    fn from(detail: &str) -> Bail {
+        Bail::new(bail::OTHER, detail)
+    }
+}
+
+impl From<String> for Bail {
+    fn from(detail: String) -> Bail {
+        Bail::new(bail::OTHER, detail)
+    }
+}
+
 /// Classify a type: `Ok(None)` for void (no value), `Ok(Some)` for a
 /// representable first-class type, `Err` when the type forces a bail-out.
-fn classify(m: &Module, t: TypeId) -> Result<Option<Class>, String> {
+fn classify(m: &Module, t: TypeId) -> Result<Option<Class>, Bail> {
     Ok(Some(match m.types.ty(t) {
         Type::Void => return Ok(None),
         Type::Bool => Class::Bool,
@@ -185,8 +264,8 @@ fn classify(m: &Module, t: TypeId) -> Result<Option<Class>, String> {
             IntKind::S64 | IntKind::U64 => Class::L64,
         },
         Type::Ptr(_) => Class::Ptr,
-        Type::F32 | Type::F64 => return Err("float value".into()),
-        other => return Err(format!("non-scalar value type {other:?}")),
+        Type::F32 | Type::F64 => return Err(Bail::new(bail::FLOAT, "float value")),
+        other => return Err(format!("non-scalar value type {other:?}").into()),
     }))
 }
 
@@ -540,9 +619,9 @@ struct Tr<'a> {
 /// Translate one function to native words in a single forward pass.
 ///
 /// `Err` means "this function stays on the JIT tier" — unsupported types
-/// or operations, speculation guards, or encoding limits. The error text
+/// or operations, speculation guards, or encoding limits. The [`Bail`]
 /// names the first reason encountered.
-pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc, String> {
+pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc, Bail> {
     let f = m.func(fid);
     if f.is_declaration() {
         return Err("declaration has no body".into());
@@ -550,7 +629,7 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
     if f.is_varargs() {
         // Native frames carry no vararg vector; `va_arg` callees stay on
         // the JIT tier.
-        return Err("varargs function".into());
+        return Err(Bail::new(bail::VARARGS, "varargs function"));
     }
 
     // -- classes -------------------------------------------------------
@@ -636,7 +715,10 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
             let s = next_slot;
             next_slot += 1;
             if s > 16_000 {
-                return Err("frame too large for slot encoding".into());
+                return Err(Bail::new(
+                    bail::ENCODING_LIMIT,
+                    "frame too large for slot encoding",
+                ));
             }
             Home::Slot(s as u16)
         };
@@ -760,7 +842,7 @@ impl<'a> Tr<'a> {
     }
 
     /// Evaluate a `Value` to an operand (no code emitted).
-    fn opnd(&mut self, v: Value) -> Result<Opnd, String> {
+    fn opnd(&mut self, v: Value) -> Result<Opnd, Bail> {
         match v {
             Value::Inst(i) => self.homes[i.index()]
                 .map(|(h, c)| Opnd::Home(h, c))
@@ -774,7 +856,7 @@ impl<'a> Tr<'a> {
         }
     }
 
-    fn const_opnd(&mut self, c: lpat_core::ConstId) -> Result<Opnd, String> {
+    fn const_opnd(&mut self, c: lpat_core::ConstId) -> Result<Opnd, Bail> {
         Ok(match self.m.consts.get(c) {
             Const::Bool(b) => Opnd::Imm(*b as u32, Class::Bool),
             Const::Int { kind, value } => {
@@ -791,8 +873,8 @@ impl<'a> Tr<'a> {
                 Some(addr) => Opnd::Imm(addr, Class::Ptr),
                 None => return Err("global address unavailable".into()),
             },
-            Const::F32(_) | Const::F64(_) => return Err("float constant".into()),
-            other => return Err(format!("aggregate constant {other:?} as scalar")),
+            Const::F32(_) | Const::F64(_) => return Err(Bail::new(bail::FLOAT, "float constant")),
+            other => return Err(format!("aggregate constant {other:?} as scalar").into()),
         })
     }
 
@@ -847,7 +929,7 @@ impl<'a> Tr<'a> {
         }
     }
 
-    fn make_edge(&mut self, from: BlockId, to: BlockId) -> Result<u32, String> {
+    fn make_edge(&mut self, from: BlockId, to: BlockId) -> Result<u32, Bail> {
         let mut moves: Vec<(Home, Src)> = Vec::new();
         for &iid in self.f.block_insts(to) {
             if let Inst::Phi { incoming } = self.f.inst(iid) {
@@ -866,7 +948,10 @@ impl<'a> Tr<'a> {
         let copies = sequentialize(moves);
         let idx = self.edges.len() as u32;
         if idx >= (1 << 14) {
-            return Err("too many edges for encoding".into());
+            return Err(Bail::new(
+                bail::ENCODING_LIMIT,
+                "too many edges for encoding",
+            ));
         }
         self.edges.push(FastEdge {
             copies,
@@ -878,7 +963,7 @@ impl<'a> Tr<'a> {
         Ok(idx)
     }
 
-    fn emit_inst(&mut self, b: BlockId, iid: InstId) -> Result<(), String> {
+    fn emit_inst(&mut self, b: BlockId, iid: InstId) -> Result<(), Bail> {
         let inst = self.f.inst(iid);
         match inst {
             Inst::Phi { .. } => Ok(()), // edges carry φs; no code, no charge
@@ -894,7 +979,7 @@ impl<'a> Tr<'a> {
                 else_bb,
             } => {
                 if (self.env.guarded)(iid) {
-                    return Err("speculation guard".into());
+                    return Err(Bail::new(bail::GUARD, "speculation guard"));
                 }
                 self.acct(inst);
                 let c = self.opnd(*cond)?;
@@ -920,7 +1005,11 @@ impl<'a> Tr<'a> {
                     vc,
                     Class::S8 | Class::U8 | Class::S16 | Class::U16 | Class::S32 | Class::U32
                 ) {
-                    return Err("switch scrutinee class".into());
+                    return Err(if vc == Class::L64 {
+                        Bail::new(bail::COMPARE64, "64-bit switch")
+                    } else {
+                        "switch scrutinee class".into()
+                    });
                 }
                 let vr = self.use_reg(v, enc::R_S1);
                 let mut tbl = FastSwitch {
@@ -938,7 +1027,7 @@ impl<'a> Tr<'a> {
                 }
                 let ti = self.switches.len() as u32;
                 if ti >= (1 << 14) {
-                    return Err("too many switch tables".into());
+                    return Err(Bail::new(bail::ENCODING_LIMIT, "too many switch tables"));
                 }
                 self.switches.push(tbl);
                 self.word(enc::i(enc::SWITCH, 0, vr, ti));
@@ -952,7 +1041,7 @@ impl<'a> Tr<'a> {
                         let o = self.opnd(*v)?;
                         let c = o.class();
                         if !c.is_exact() {
-                            return Err("64-bit return value".into());
+                            return Err(Bail::new(bail::VALUE64, "64-bit return value"));
                         }
                         let r = self.use_reg(o, enc::R_S1);
                         self.word(enc::i(enc::RET, 0, r, 1 | (c.code() as u32) << 1));
@@ -994,7 +1083,7 @@ impl<'a> Tr<'a> {
                 self.acct(inst);
                 let v = self.opnd(*val)?;
                 if !v.class().is_exact() {
-                    return Err("64-bit store".into());
+                    return Err(Bail::new(bail::VALUE64, "64-bit store"));
                 }
                 let p = self.opnd(*ptr)?;
                 if p.class() != Class::Ptr {
@@ -1069,7 +1158,7 @@ impl<'a> Tr<'a> {
                 let eu = self.make_edge(b, *unwind)?;
                 self.emit_call(b, iid, *callee, args, Some((en, eu)), inst)
             }
-            Inst::VaArg { .. } => Err("vaarg".into()),
+            Inst::VaArg { .. } => Err(Bail::new(bail::VARARGS, "vaarg")),
         }
     }
 
@@ -1080,7 +1169,7 @@ impl<'a> Tr<'a> {
         lhs: Value,
         rhs: Value,
         inst: &Inst,
-    ) -> Result<(), String> {
+    ) -> Result<(), Bail> {
         let Some((_, class)) = self.homes[iid.index()] else {
             return Err("void bin".into());
         };
@@ -1101,7 +1190,7 @@ impl<'a> Tr<'a> {
                     BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
                 ) =>
             {
-                return Err("64-bit op needs full width".into());
+                return Err(Bail::new(bail::OP64, "64-bit op needs full width"));
             }
             Class::Ptr => return Err("arith on pointer".into()),
             _ => {}
@@ -1144,7 +1233,7 @@ impl<'a> Tr<'a> {
         lhs: Value,
         rhs: Value,
         inst: &Inst,
-    ) -> Result<(), String> {
+    ) -> Result<(), Bail> {
         let l = self.opnd(lhs)?;
         let r = self.opnd(rhs)?;
         let c = l.class();
@@ -1152,7 +1241,7 @@ impl<'a> Tr<'a> {
             return Err("cmp operand class mismatch".into());
         }
         if !c.is_exact() {
-            return Err("64-bit compare".into());
+            return Err(Bail::new(bail::COMPARE64, "64-bit compare"));
         }
         // Canonical ≤32-bit values order exactly like their 32-bit
         // representations under the matching signedness; pointers and
@@ -1183,13 +1272,7 @@ impl<'a> Tr<'a> {
         Ok(())
     }
 
-    fn emit_cast(
-        &mut self,
-        iid: InstId,
-        val: Value,
-        to: TypeId,
-        inst: &Inst,
-    ) -> Result<(), String> {
+    fn emit_cast(&mut self, iid: InstId, val: Value, to: TypeId, inst: &Inst) -> Result<(), Bail> {
         let Some(tc) = classify(self.m, to)? else {
             return Err("cast to void".into());
         };
@@ -1204,7 +1287,7 @@ impl<'a> Tr<'a> {
                 // != 0 test; sound for every exact class. A 64-bit source
                 // needs all 64 bits.
                 if !fc.is_exact() {
-                    return Err("64-bit to bool".into());
+                    return Err(Bail::new(bail::COMPARE64, "64-bit to bool"));
                 }
                 let r = self.use_reg(v, enc::R_S1);
                 self.word(enc::r(enc::SETNZ, rd, r, 0, 0));
@@ -1232,7 +1315,7 @@ impl<'a> Tr<'a> {
         ptr: Value,
         indices: &[Value],
         inst: &Inst,
-    ) -> Result<(), String> {
+    ) -> Result<(), Bail> {
         let tys = &self.m.types;
         let base = self.opnd(ptr)?;
         if base.class() != Class::Ptr {
@@ -1330,7 +1413,7 @@ impl<'a> Tr<'a> {
         args: &[Value],
         eh: Option<(u32, u32)>,
         inst: &Inst,
-    ) -> Result<(), String> {
+    ) -> Result<(), Bail> {
         let callee = if let Value::Const(c) = callee {
             if let Const::FuncAddr(f) = self.m.consts.get(c) {
                 FastCallee::Direct(*f)
@@ -1349,7 +1432,7 @@ impl<'a> Tr<'a> {
         for &a in args {
             let o = self.opnd(a)?;
             if !o.class().is_exact() {
-                return Err("64-bit call argument".into());
+                return Err(Bail::new(bail::VALUE64, "64-bit call argument"));
             }
             argv.push((o.src(), o.class()));
         }
@@ -1357,13 +1440,13 @@ impl<'a> Tr<'a> {
         if let Some((_, c)) = dst {
             if !c.is_exact() {
                 // The callee's 64-bit result would reach us truncated.
-                return Err("64-bit call result".into());
+                return Err(Bail::new(bail::VALUE64, "64-bit call result"));
             }
         }
         self.acct(inst);
         let di = self.calls.len() as u32;
         if di >= (1 << 24) {
-            return Err("too many call sites".into());
+            return Err(Bail::new(bail::ENCODING_LIMIT, "too many call sites"));
         }
         self.calls.push(FastCall {
             callee,

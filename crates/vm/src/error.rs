@@ -61,3 +61,12 @@ impl fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+/// A translation that failed where the engine needed the code (building a
+/// frame for a function already promoted): an `Invalid` trap, never a
+/// panic.
+impl From<lpat_codegen::fast::Bail> for ExecError {
+    fn from(b: lpat_codegen::fast::Bail) -> ExecError {
+        ExecError::trap(TrapKind::Invalid, b.detail)
+    }
+}

@@ -22,6 +22,7 @@ use lpat_core::{
 use crate::error::{ExecError, TrapKind};
 use crate::mem::Memory;
 use crate::profile::ProfileData;
+use crate::tier::Tier;
 use crate::value::VmValue;
 
 /// Trace-counter name per dense opcode index: `"vm.op."` +
@@ -81,16 +82,16 @@ pub struct VmOptions {
     /// Tier-up threshold for [`Vm::run_main_tiered`]: a function is
     /// promoted from the profiling interpreter to the translated (JIT)
     /// tier once its hotness counter — calls plus loop back-edges —
-    /// *exceeds* this value. `0` promotes every function on first call
-    /// (full-JIT behavior); a very large value never promotes (pure
-    /// interpretation).
+    /// *exceeds* this value. `0` promotes every function on first call;
+    /// a very large value never promotes (pure interpretation).
     pub tier_up: u64,
     /// Native (tier-3) promotion threshold for [`Vm::run_main_tiered`]:
-    /// once a JIT-tier function's hotness counter exceeds this value it
-    /// is promoted again, to single-pass machine code. `None` (the
-    /// default) disables tier 3 entirely; `Some(0)` promotes every
-    /// JIT-tier function immediately.
-    pub native_up: Option<u64>,
+    /// once a JIT-tier function's hotness counter, restarted at JIT
+    /// promotion, exceeds this value it is promoted again, to
+    /// single-pass machine code. `0` promotes every JIT-tier function
+    /// immediately; a very large value (`u64::MAX`) never promotes, which
+    /// pins hot code on the JIT tier.
+    pub native_up: u64,
 }
 
 impl Default for VmOptions {
@@ -102,15 +103,15 @@ impl Default for VmOptions {
             input: VecDeque::new(),
             max_stack: 10_000,
             tier_up: 50,
-            native_up: None,
+            native_up: 50,
         }
     }
 }
 
 /// Speculation statistics: how the guards emitted by the speculative
-/// optimizer behaved at run time. Engine-independent — the interpreter,
-/// the JIT, and the tiered engine all record through the same
-/// [`Vm::guard_check`] path.
+/// optimizer behaved at run time. Engine-independent — the interpreter
+/// and the tiered engine's JIT tier record through the same
+/// [`Vm::guard_check`] path (guarded functions never go native).
 #[derive(Clone, Debug, Default)]
 pub struct SpecStats {
     /// Guards the speculation pass emitted into the executing module.
@@ -197,9 +198,6 @@ pub struct Vm<'m> {
     /// hot call path does not allocate.
     pub(crate) jit_reg_pool: Vec<Vec<VmValue>>,
     pub(crate) interp_reg_pool: Vec<Vec<Option<VmValue>>>,
-    /// Whether the running mixed loop has the native tier enabled — the
-    /// one branch the JIT edge path pays for tier-3 hotness tracking.
-    pub(crate) tier_native_on: bool,
     /// A JIT back-edge just promoted its function to native: the block
     /// to enter machine code at, consumed by the dispatch loop at the
     /// next boundary check and dropped on any other control transfer.
@@ -246,7 +244,6 @@ impl<'m> Vm<'m> {
             tier: vec![crate::tier::TierCell::Cold(0); m.num_funcs()],
             jit_reg_pool: Vec::new(),
             interp_reg_pool: Vec::new(),
-            tier_native_on: false,
             pending_native_osr: None,
         };
         for (gid, g) in m.globals() {
@@ -502,7 +499,7 @@ impl<'m> Vm<'m> {
             // real instruction at run time.
             let fetched = func.inst(iid);
             if !matches!(fetched, Inst::Phi { .. }) {
-                self.charge_interp(fetched.opcode_index())?;
+                self.charge(Tier::Interp, fetched.opcode_index())?;
             }
             match self.step(fr, block, iid, fetched)? {
                 StepResult::Continue => {
@@ -571,10 +568,13 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Charge one interpreted instruction against the fuel budget and the
-    /// dispatch counters.
+    /// Charge one IR instruction dispatched by `tier` against the fuel
+    /// budget and the dispatch counters. Every tier charges through here,
+    /// before the instruction runs, so fuel exhaustion traps at the same
+    /// instruction and the opcode histogram is the same on every tier;
+    /// only the per-tier instruction counter differs.
     #[inline]
-    pub(crate) fn charge_interp(&mut self, opidx: usize) -> Result<(), ExecError> {
+    pub(crate) fn charge(&mut self, tier: Tier, opidx: usize) -> Result<(), ExecError> {
         if let Some(fuel) = &mut self.opts.fuel {
             if *fuel == 0 {
                 return Err(ExecError::trap(TrapKind::OutOfFuel, "instruction budget"));
@@ -582,24 +582,12 @@ impl<'m> Vm<'m> {
             *fuel -= 1;
         }
         self.insts_executed += 1;
-        self.tier_stats.interp_insts += 1;
-        self.opcode_counts[opidx] += 1;
-        Ok(())
-    }
-
-    /// Charge one translated instruction. Identical accounting to
-    /// [`Vm::charge_interp`] (so fuel and the opcode histogram are
-    /// engine-independent) but attributed to the JIT tier.
-    #[inline]
-    pub(crate) fn charge_jit(&mut self, opidx: usize) -> Result<(), ExecError> {
-        if let Some(fuel) = &mut self.opts.fuel {
-            if *fuel == 0 {
-                return Err(ExecError::trap(TrapKind::OutOfFuel, "instruction budget"));
-            }
-            *fuel -= 1;
-        }
-        self.insts_executed += 1;
-        self.tier_stats.jit_insts += 1;
+        let t = &mut self.tier_stats;
+        *match tier {
+            Tier::Interp => &mut t.interp_insts,
+            Tier::Jit => &mut t.jit_insts,
+            Tier::Native => &mut t.native_insts,
+        } += 1;
         self.opcode_counts[opidx] += 1;
         Ok(())
     }

@@ -3,12 +3,15 @@
 //! The paper's second code-generation option: "a just-in-time Execution
 //! Engine can be used which invokes the appropriate code generator at
 //! runtime, **translating one function at a time** for execution". This
-//! module is that translator for the VM: on a function's first call it is
-//! lowered to a dense, pre-resolved form — constants pre-evaluated,
+//! module is that translator for the VM, the middle rung of the tier
+//! ladder (`tier.rs`): when a function is promoted out of the interpreter
+//! it is lowered to a dense, pre-resolved form — constants pre-evaluated,
 //! `getelementptr` type walks pre-compiled to scale/offset arithmetic,
 //! φ-moves attached to edges, direct callees pre-bound — and the flat code
 //! is then executed by a tight dispatch loop. Later calls hit the
-//! translation cache (a dense `Vec` indexed by `FuncId`).
+//! translation cache (a dense `Vec` indexed by `FuncId`). Hot code moves
+//! on to machine code (`native.rs`); this tier keeps what the native
+//! backend cannot translate, plus the warm-up between the two promotions.
 //!
 //! Two dispatch-level optimizations ride on the translated form:
 //!
@@ -27,7 +30,7 @@
 //!   engine's lifetime, so a hit can never go stale).
 //!
 //! Semantics are identical to the reference interpreter (differential
-//! tests in `tests/` run all engines on the whole workload suite) —
+//! tests in `tests/` run every tier on the whole workload suite) —
 //! including, since the tiered engine landed, the profile counters and
 //! the per-opcode histogram: translated code records the same
 //! block/edge/call/callsite counts and opcode counts the interpreter
@@ -41,9 +44,12 @@ use lpat_core::{
     BinOp, BlockId, CmpPred, Const, FuncId, Inst, InstId, IntKind, Module, Type, TypeId, Value,
 };
 
+use lpat_codegen::fast::{bail, Bail};
+
 use crate::error::{ExecError, TrapKind};
 use crate::interp::Vm;
 use crate::mem::Memory;
+use crate::tier::Tier;
 use crate::value::VmValue;
 
 /// A pre-resolved operand.
@@ -639,55 +645,11 @@ pub(crate) struct JitFrame {
 pub(crate) type PendingCall = Option<(Option<u32>, Option<(usize, usize)>)>;
 
 impl<'m> Vm<'m> {
-    /// Run `main` under the JIT engine (translate-on-first-call +
-    /// translation cache). Produces the same results as [`Vm::run_main`],
-    /// including profile counters when `opts.profile` is set: translated
-    /// dispatch records the same block/edge/call/callsite counts the
-    /// interpreter would.
-    pub fn run_main_jit(&mut self) -> Result<i64, ExecError> {
-        let mut sp = trace::span("jit", "jit @main");
-        let result = (|| {
-            let main = self
-                .module()
-                .func_by_name("main")
-                .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "no @main in module"))?;
-            match self.run_function_jit(main, vec![]) {
-                Ok(Some(v)) => v
-                    .as_i64()
-                    .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "main returned non-integer")),
-                Ok(None) => Ok(0),
-                Err(ExecError::Exited(c)) => Ok(c as i64),
-                Err(e) => Err(e),
-            }
-        })();
-        if trace::enabled() {
-            match &result {
-                Ok(code) => sp.arg("exit", code.to_string()),
-                Err(e) => {
-                    sp.arg("error", e.to_string());
-                    trace::instant_args("jit", "trap", vec![("error", e.to_string())]);
-                }
-            }
-        }
-        result
-    }
-
-    /// Call `f` with `args` under the JIT engine. Every function is
-    /// translated on first call; a translation failure is fatal (the
-    /// tiered engine, by contrast, demotes and keeps interpreting).
-    pub fn run_function_jit(
-        &mut self,
-        f: FuncId,
-        args: Vec<VmValue>,
-    ) -> Result<Option<VmValue>, ExecError> {
-        self.run_function_mixed(f, args, crate::tier::MixedMode::JitOnly)
-    }
-
     /// The translated form of `f`, translating (and caching) on first
     /// use. The `jit.translate` fault site fires here; any injected
-    /// non-delay action surfaces as a translation error (pure-JIT treats
-    /// it as fatal, the tiered engine demotes the function).
-    pub(crate) fn ensure_translated(&mut self, f: FuncId) -> Result<Rc<LowFunc>, ExecError> {
+    /// non-delay action surfaces as a translation failure, which the tier
+    /// ladder answers by demoting the function to the interpreter.
+    pub(crate) fn ensure_translated(&mut self, f: FuncId) -> Result<Rc<LowFunc>, Bail> {
         if let Some(lf) = &self.jit_cache[f.index()] {
             return Ok(lf.clone());
         }
@@ -705,8 +667,8 @@ impl<'m> Vm<'m> {
                 std::thread::sleep(d);
                 translate_with_globals(self, f)
             }
-            Some(action) => Err(ExecError::trap(
-                TrapKind::Invalid,
+            Some(action) => Err(Bail::new(
+                bail::INJECTED_FAULT,
                 format!("injected {action:?} fault at site 'jit.translate'"),
             )),
             None => translate_with_globals(self, f),
@@ -719,19 +681,20 @@ impl<'m> Vm<'m> {
                 self.jit_cache[f.index()] = Some(rc.clone());
                 Ok(rc)
             }
-            Err(e) => {
+            Err(b) => {
                 if let Some(sp) = &mut sp {
-                    sp.arg("error", e.to_string());
+                    sp.arg("error", b.detail.clone());
                     trace::instant_args(
                         "jit",
                         "bail-to-interp",
                         vec![
                             ("function", self.module().func(f).name.clone()),
-                            ("error", e.to_string()),
+                            ("reason", b.reason.to_string()),
+                            ("error", b.detail.clone()),
                         ],
                     );
                 }
-                Err(e)
+                Err(b)
             }
         }
     }
@@ -815,7 +778,7 @@ impl<'m> Vm<'m> {
             self.profile.record_edge(fr.func, from, to);
             self.profile.record_block(fr.func, to);
         }
-        if self.tier_native_on && edge.to <= edge.from {
+        if edge.to <= edge.from {
             // A loop back-edge on the JIT tier is a tier-3 hotness event.
             self.native_backedge_bump(fr.func, edge.to);
         }
@@ -825,8 +788,9 @@ impl<'m> Vm<'m> {
 
 /// Translate with the engine's global addresses published to the
 /// constant resolver (they become plain pointer immediates in the
-/// translated code).
-fn translate_with_globals(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError> {
+/// translated code). Every failure of the `LowFunc` translator is
+/// malformed or unsupported IR: [`bail::OTHER`].
+fn translate_with_globals(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, Bail> {
     GLOBAL_ADDRS.with(|g| {
         *g.borrow_mut() = Some(
             (0..vm.module().num_globals())
@@ -836,7 +800,7 @@ fn translate_with_globals(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError
     });
     let r = translate_spec(vm.module(), fid, vm.spec_map());
     GLOBAL_ADDRS.with(|g| *g.borrow_mut() = None);
-    r
+    r.map_err(|e| Bail::new(bail::OTHER, e.to_string()))
 }
 
 thread_local! {
@@ -863,8 +827,7 @@ pub(crate) enum Flow {
     /// A speculation guard failed. The fail edge has already been taken
     /// (φ-copies done, pc at the start of `block`, profile recorded), so
     /// the frame is at a clean block boundary: the tiered engine rebuilds
-    /// an interpreter frame there (deoptimization), while pure JIT simply
-    /// keeps executing — the slow path is ordinary translated code.
+    /// an interpreter frame there (deoptimization).
     Deopt {
         block: u32,
     },
@@ -919,13 +882,13 @@ pub(crate) fn exec_low(
 ) -> Result<Flow, ExecError> {
     match op {
         LowOp::Bin { op, dst, a, b } => {
-            vm.charge_jit(OP_BIN_BASE + *op as usize)?;
+            vm.charge(Tier::Jit, OP_BIN_BASE + *op as usize)?;
             let r = crate::interp::exec_bin(*op, read(fr, a)?, read(fr, b)?)?;
             fr.regs[*dst as usize] = r;
             Ok(Flow::Next)
         }
         LowOp::Cmp { pred, dst, a, b } => {
-            vm.charge_jit(OP_CMP_BASE + *pred as usize)?;
+            vm.charge(Tier::Jit, OP_CMP_BASE + *pred as usize)?;
             let r = crate::interp::exec_cmp(*pred, read(fr, a)?, read(fr, b)?)?;
             fr.regs[*dst as usize] = VmValue::Bool(r);
             Ok(Flow::Next)
@@ -940,31 +903,31 @@ pub(crate) fn exec_low(
         } => {
             // Micro-op 1: the compare (result written like the unfused op,
             // so later reads of the register still see it).
-            vm.charge_jit(OP_CMP_BASE + *pred as usize)?;
+            vm.charge(Tier::Jit, OP_CMP_BASE + *pred as usize)?;
             let r = crate::interp::exec_cmp(*pred, read(fr, a)?, read(fr, b)?)?;
             fr.regs[*dst as usize] = VmValue::Bool(r);
             // Micro-op 2: the branch — charged separately so an exhausted
             // fuel budget traps at the same instruction as the interpreter.
-            vm.charge_jit(OP_BR)?;
+            vm.charge(Tier::Jit, OP_BR)?;
             vm.take_edge(fr, lf, if r { *t } else { *f })?;
             Ok(Flow::Next)
         }
         LowOp::BinBr { op, dst, a, b, e } => {
-            vm.charge_jit(OP_BIN_BASE + *op as usize)?;
+            vm.charge(Tier::Jit, OP_BIN_BASE + *op as usize)?;
             let r = crate::interp::exec_bin(*op, read(fr, a)?, read(fr, b)?)?;
             fr.regs[*dst as usize] = r;
-            vm.charge_jit(OP_BR)?;
+            vm.charge(Tier::Jit, OP_BR)?;
             vm.take_edge(fr, lf, *e)?;
             Ok(Flow::Next)
         }
         LowOp::Cast { dst, src, to } => {
-            vm.charge_jit(OP_CAST)?;
+            vm.charge(Tier::Jit, OP_CAST)?;
             let r = crate::interp::exec_cast(&vm.module().types, read(fr, src)?, *to)?;
             fr.regs[*dst as usize] = r;
             Ok(Flow::Next)
         }
         LowOp::Load { dst, ptr, kind } => {
-            vm.charge_jit(OP_LOAD)?;
+            vm.charge(Tier::Jit, OP_LOAD)?;
             let a = read(fr, ptr)?
                 .as_ptr()
                 .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "load"))?;
@@ -979,7 +942,7 @@ pub(crate) fn exec_low(
             Ok(Flow::Next)
         }
         LowOp::Store { val, ptr } => {
-            vm.charge_jit(OP_STORE)?;
+            vm.charge(Tier::Jit, OP_STORE)?;
             let a = read(fr, ptr)?
                 .as_ptr()
                 .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "store"))?;
@@ -992,7 +955,7 @@ pub(crate) fn exec_low(
             const_off,
             scaled,
         } => {
-            vm.charge_jit(OP_GEP)?;
+            vm.charge(Tier::Jit, OP_GEP)?;
             let b = read(fr, base)?
                 .as_ptr()
                 .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "gep"))?;
@@ -1012,7 +975,7 @@ pub(crate) fn exec_low(
             count,
             stack,
         } => {
-            vm.charge_jit(if *stack { OP_ALLOCA } else { OP_MALLOC })?;
+            vm.charge(Tier::Jit, if *stack { OP_ALLOCA } else { OP_MALLOC })?;
             let n = match count {
                 None => 1u64,
                 Some(c) => read(fr, c)?.as_i64().unwrap_or(0).max(0) as u64,
@@ -1029,7 +992,7 @@ pub(crate) fn exec_low(
             Ok(Flow::Next)
         }
         LowOp::Free(p) => {
-            vm.charge_jit(OP_FREE)?;
+            vm.charge(Tier::Jit, OP_FREE)?;
             let a = read(fr, p)?
                 .as_ptr()
                 .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "free"))?;
@@ -1045,7 +1008,7 @@ pub(crate) fn exec_low(
             eh,
             site,
         } => {
-            vm.charge_jit(if eh.is_some() { OP_INVOKE } else { OP_CALL })?;
+            vm.charge(Tier::Jit, if eh.is_some() { OP_INVOKE } else { OP_CALL })?;
             if vm.opts.profile {
                 // Before callee resolution, like the interpreter: a failed
                 // resolution still counts the site.
@@ -1102,12 +1065,12 @@ pub(crate) fn exec_low(
             })
         }
         LowOp::Br(e) => {
-            vm.charge_jit(OP_BR)?;
+            vm.charge(Tier::Jit, OP_BR)?;
             vm.take_edge(fr, lf, *e)?;
             Ok(Flow::Next)
         }
         LowOp::CondBr { c, t, f } => {
-            vm.charge_jit(OP_BR)?;
+            vm.charge(Tier::Jit, OP_BR)?;
             let v = read(fr, c)?
                 .as_bool()
                 .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "condbr"))?;
@@ -1117,7 +1080,7 @@ pub(crate) fn exec_low(
         LowOp::Guard { gid, c, t, f } => {
             // Fuel/histogram accounting is identical to CondBr: the guard
             // IS a conditional branch; only the bookkeeping differs.
-            vm.charge_jit(OP_BR)?;
+            vm.charge(Tier::Jit, OP_BR)?;
             let v = read(fr, c)?
                 .as_bool()
                 .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "guard"))?;
@@ -1142,10 +1105,10 @@ pub(crate) fn exec_low(
             // Micro-ops exactly as CmpBr: compare (register written, so a
             // forced guard failure never alters the dataflow value), then
             // the branch.
-            vm.charge_jit(OP_CMP_BASE + *pred as usize)?;
+            vm.charge(Tier::Jit, OP_CMP_BASE + *pred as usize)?;
             let r = crate::interp::exec_cmp(*pred, read(fr, a)?, read(fr, b)?)?;
             fr.regs[*dst as usize] = VmValue::Bool(r);
-            vm.charge_jit(OP_BR)?;
+            vm.charge(Tier::Jit, OP_BR)?;
             if vm.guard_check(*gid, r) {
                 vm.take_edge(fr, lf, *t)?;
                 Ok(Flow::Next)
@@ -1156,7 +1119,7 @@ pub(crate) fn exec_low(
             }
         }
         LowOp::Switch { v, cases, default } => {
-            vm.charge_jit(OP_SWITCH)?;
+            vm.charge(Tier::Jit, OP_SWITCH)?;
             let x = read(fr, v)?
                 .as_i64()
                 .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "switch"))?;
@@ -1169,22 +1132,22 @@ pub(crate) fn exec_low(
             Ok(Flow::Next)
         }
         LowOp::Ret(v) => {
-            vm.charge_jit(OP_RET)?;
+            vm.charge(Tier::Jit, OP_RET)?;
             Ok(Flow::Ret(match v {
                 Some(s) => Some(read(fr, s)?),
                 None => None,
             }))
         }
         LowOp::Unwind => {
-            vm.charge_jit(OP_UNWIND)?;
+            vm.charge(Tier::Jit, OP_UNWIND)?;
             Ok(Flow::Unwinding)
         }
         LowOp::Unreachable => {
-            vm.charge_jit(OP_UNREACHABLE)?;
+            vm.charge(Tier::Jit, OP_UNREACHABLE)?;
             Err(ExecError::trap(TrapKind::Unreachable, "unreachable"))
         }
         LowOp::VaArg { dst } => {
-            vm.charge_jit(OP_VAARG)?;
+            vm.charge(Tier::Jit, OP_VAARG)?;
             let v = fr
                 .varargs
                 .get(fr.va_next)
@@ -1202,13 +1165,24 @@ mod tests {
     use super::*;
     use crate::{Vm, VmOptions};
 
+    /// The JIT tier pinned: every function translated on its first call
+    /// and never promoted on to machine code.
+    fn jit_pinned(opts: VmOptions) -> VmOptions {
+        VmOptions {
+            tier_up: 0,
+            native_up: u64::MAX,
+            ..opts
+        }
+    }
+
     fn both(src: &str) -> (i64, i64) {
         let m = lpat_asm::parse_module("t", src).unwrap();
         m.verify().unwrap();
         let mut a = Vm::new(&m, VmOptions::default()).unwrap();
         let ra = a.run_main().unwrap_or_else(|e| panic!("interp: {e}"));
-        let mut b = Vm::new(&m, VmOptions::default()).unwrap();
-        let rb = b.run_main_jit().unwrap_or_else(|e| panic!("jit: {e}"));
+        let mut b = Vm::new(&m, jit_pinned(VmOptions::default())).unwrap();
+        let rb = b.run_main_tiered().unwrap_or_else(|e| panic!("jit: {e}"));
+        assert_eq!(b.tier_stats.interp_insts, 0, "pinned run left the JIT");
         assert_eq!(a.output, b.output, "output must match");
         (ra, rb)
     }
@@ -1344,8 +1318,8 @@ d:
         let m = lpat_minic::compile(w.name, &w.source).unwrap();
         let mut a = Vm::new(&m, VmOptions::default()).unwrap();
         let ra = a.run_main().unwrap();
-        let mut b = Vm::new(&m, VmOptions::default()).unwrap();
-        let rb = b.run_main_jit().unwrap();
+        let mut b = Vm::new(&m, jit_pinned(VmOptions::default())).unwrap();
+        let rb = b.run_main_tiered().unwrap();
         assert_eq!(ra, rb);
         assert_eq!(a.output, b.output);
     }
@@ -1401,8 +1375,8 @@ x:
         };
         let mut a = Vm::new(&m, opts.clone()).unwrap();
         let ra = a.run_main().unwrap();
-        let mut b = Vm::new(&m, opts).unwrap();
-        let rb = b.run_main_jit().unwrap();
+        let mut b = Vm::new(&m, jit_pinned(opts)).unwrap();
+        let rb = b.run_main_tiered().unwrap();
         assert_eq!(ra, rb);
         assert_eq!(a.insts_executed, b.insts_executed);
         assert_eq!(a.opcode_counts, b.opcode_counts);

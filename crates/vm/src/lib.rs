@@ -567,8 +567,13 @@ e:
         m.verify().unwrap();
         let mut vm = Vm::new(&m, VmOptions::default()).unwrap();
         assert_eq!(vm.run_main().unwrap(), 49);
-        // And identically under the JIT.
-        let mut vm2 = Vm::new(&m, VmOptions::default()).unwrap();
-        assert_eq!(vm2.run_main_jit().unwrap(), 49);
+        // And identically with every function on the JIT tier.
+        let opts = VmOptions {
+            tier_up: 0,
+            native_up: u64::MAX,
+            ..VmOptions::default()
+        };
+        let mut vm2 = Vm::new(&m, opts).unwrap();
+        assert_eq!(vm2.run_main_tiered().unwrap(), 49);
     }
 }

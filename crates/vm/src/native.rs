@@ -15,7 +15,7 @@
 //!
 //! * **fuel / histogram** — every decoded op carries the accounting tag
 //!   ([`lpat_codegen::fast::enc::ACCT`]) of the IR instruction it begins,
-//!   charged through [`Vm::charge_native`] *before* the op executes, so
+//!   charged through [`Vm::charge`] *before* the op executes, so
 //!   fuel exhaustion traps on exactly the same IR instruction as the
 //!   interpreter and each IR instruction is charged exactly once;
 //! * **memory traps** — loads/stores go through the same [`Memory`]
@@ -47,8 +47,8 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use lpat_codegen::fast::{
-    enc, translate_fast, Class, FastCall, FastCallee, FastCopy, FastEnv, FastFunc, FastSwitch,
-    Home, Src,
+    bail, enc, translate_fast, Bail, Class, FastCall, FastCallee, FastCopy, FastEnv, FastFunc,
+    FastSwitch, Home, Src,
 };
 use lpat_core::trace;
 use lpat_core::{BlockId, FuncId, InstId, IntKind};
@@ -57,6 +57,7 @@ use crate::error::{ExecError, TrapKind};
 use crate::interp::{Frame, Vm};
 use crate::jit::{Flow, JitFrame};
 use crate::mem::Memory;
+use crate::tier::Tier;
 use crate::value::VmValue;
 
 // ----------------------------------------------------------------------
@@ -260,29 +261,12 @@ pub(crate) fn matches_class(v: &VmValue, c: Class) -> bool {
 }
 
 impl<'m> Vm<'m> {
-    /// Charge one native-tier instruction. Identical accounting to
-    /// [`Vm::charge_interp`] / [`Vm::charge_jit`] — fuel and the opcode
-    /// histogram stay engine-independent — attributed to the native tier.
-    #[inline]
-    pub(crate) fn charge_native(&mut self, opidx: usize) -> Result<(), ExecError> {
-        if let Some(fuel) = &mut self.opts.fuel {
-            if *fuel == 0 {
-                return Err(ExecError::trap(TrapKind::OutOfFuel, "instruction budget"));
-            }
-            *fuel -= 1;
-        }
-        self.insts_executed += 1;
-        self.tier_stats.native_insts += 1;
-        self.opcode_counts[opidx] += 1;
-        Ok(())
-    }
-
     /// The native code of `f`, translating on first use. The
     /// `native.translate` fault site fires here, mirroring
     /// `jit.translate`: any injected non-delay action surfaces as a
-    /// translation error, which the tier ladder answers with permanent
+    /// translation failure, which the tier ladder answers with permanent
     /// demotion to the JIT tier (the program keeps running).
-    pub(crate) fn ensure_native_translated(&mut self, f: FuncId) -> Result<Rc<NatCode>, ExecError> {
+    pub(crate) fn ensure_native_translated(&mut self, f: FuncId) -> Result<Rc<NatCode>, Bail> {
         if let Some(nc) = &self.native_cache[f.index()] {
             return Ok(nc.clone());
         }
@@ -300,8 +284,8 @@ impl<'m> Vm<'m> {
                 std::thread::sleep(d);
                 self.translate_native(f)
             }
-            Some(action) => Err(ExecError::trap(
-                TrapKind::Invalid,
+            Some(action) => Err(Bail::new(
+                bail::INJECTED_FAULT,
                 format!("injected {action:?} fault at site 'native.translate'"),
             )),
             None => self.translate_native(f),
@@ -314,24 +298,25 @@ impl<'m> Vm<'m> {
                 self.native_cache[f.index()] = Some(rc.clone());
                 Ok(rc)
             }
-            Err(e) => {
+            Err(b) => {
                 if let Some(sp) = &mut sp {
-                    sp.arg("error", e.to_string());
+                    sp.arg("error", b.detail.clone());
                     trace::instant_args(
                         "native",
                         "bail-to-jit",
                         vec![
                             ("function", self.module().func(f).name.clone()),
-                            ("error", e.to_string()),
+                            ("reason", b.reason.to_string()),
+                            ("error", b.detail.clone()),
                         ],
                     );
                 }
-                Err(e)
+                Err(b)
             }
         }
     }
 
-    fn translate_native(&self, f: FuncId) -> Result<NatCode, ExecError> {
+    fn translate_native(&self, f: FuncId) -> Result<NatCode, Bail> {
         let m = self.module();
         let globals: Vec<u32> = (0..m.num_globals())
             .map(|i| self.global_addr(lpat_core::GlobalId::from_index(i)))
@@ -342,13 +327,7 @@ impl<'m> Vm<'m> {
             global_addr: &|i| globals.get(i).copied(),
             guarded: &|iid| spec.is_some_and(|sm| sm.guard_at(f, iid).is_some()),
         };
-        match translate_fast(m, f, &env) {
-            Ok(ff) => Ok(decode(ff)),
-            Err(e) => Err(ExecError::trap(
-                TrapKind::Invalid,
-                format!("native backend: {e}"),
-            )),
-        }
+        translate_fast(m, f, &env).map(decode)
     }
 
     /// Build a native activation record for a call to `f`, or `None` when
@@ -522,7 +501,7 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
         let op = code.ops[fr.pc];
         fr.pc += 1;
         if op.acct != 0 {
-            vm.charge_native((op.acct - 1) as usize)?;
+            vm.charge(Tier::Native, (op.acct - 1) as usize)?;
         }
         let (a, b, c) = (op.a as usize, op.b as usize, op.c as usize);
         match op.op {

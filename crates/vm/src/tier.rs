@@ -15,12 +15,17 @@
 //!   it is switched in place at the loop-header boundary (**on-stack
 //!   replacement**) — hot loops in `main` get fast without waiting for a
 //!   second call that never comes.
-//! * A translation failure **demotes** the function permanently: it keeps
-//!   interpreting, execution continues (pure-JIT mode instead fails the
-//!   run, preserving its historical semantics).
-//! * Interpreted and translated frames interleave freely on one call
-//!   stack in both directions — interpreted caller → JIT'd callee,
-//!   JIT'd caller → (cold) interpreted callee — including across
+//! * The counter restarts at JIT promotion; when it exceeds
+//!   `VmOptions::native_up` the function is promoted again, to
+//!   single-pass machine code (`native.rs`), by call or by OSR at a loop
+//!   header. This is the only tiered engine: every rung is always on,
+//!   and a very large threshold simply never promotes.
+//! * A translation failure **demotes** the function permanently to the
+//!   rung below (interpreter after a JIT failure, JIT after a native
+//!   one); execution continues. [`TierStats`] counts demotions by
+//!   reason.
+//! * Interpreted, translated and native frames interleave freely on one
+//!   call stack in every direction — including across
 //!   `invoke`/`unwind`.
 //! * [`Vm::warm_start`] seeds the tier decisions from a prior run's
 //!   profile (the lifelong store's accumulated counts): functions already
@@ -33,8 +38,12 @@
 //! a differential suite in `tests/tiered.rs` pins this across the whole
 //! workload suite.
 
+use std::collections::BTreeMap;
+
 use lpat_core::trace;
 use lpat_core::{BlockId, FuncId, Inst};
+
+use lpat_codegen::fast::bail;
 
 use crate::error::{ExecError, TrapKind};
 use crate::interp::{Frame, StepResult, Vm};
@@ -66,23 +75,10 @@ pub(crate) enum TierCell {
     NativeDemoted,
 }
 
-/// How [`Vm::run_function_mixed`] picks a tier per call.
+/// One rung of the ladder: what dispatches an instruction, picked per
+/// call and per frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum MixedMode {
-    /// Every callee is translated on first call; translation failure is
-    /// fatal. This is the classic `run_main_jit` engine.
-    JitOnly,
-    /// Counter-driven promotion with the configured thresholds.
-    /// `native_up = None` disables the third tier.
-    Tiered {
-        threshold: u64,
-        native_up: Option<u64>,
-    },
-}
-
-/// A call-boundary tier decision.
-#[derive(Clone, Copy, Debug)]
-enum TierChoice {
+pub(crate) enum Tier {
     Interp,
     Jit,
     Native,
@@ -98,6 +94,8 @@ pub struct TierStats {
     pub promoted: u64,
     /// Functions demoted after a translation failure.
     pub demoted: u64,
+    /// `demoted`, split by [`bail`] reason.
+    pub demoted_by: BTreeMap<&'static str, u64>,
     /// Functions promoted eagerly from a prior run's profile.
     pub warmed: u64,
     /// Interpreted activations switched to translated code mid-run at a
@@ -116,6 +114,8 @@ pub struct TierStats {
     /// Functions demoted to the JIT tier after a native translation
     /// failure (backend bail or `native.translate` fault).
     pub native_demoted: u64,
+    /// `native_demoted`, split by [`bail`] reason.
+    pub native_demoted_by: BTreeMap<&'static str, u64>,
     /// Activations switched JIT/interp → native mid-run at a loop header.
     pub native_osr: u64,
     /// Functions translated by the single-pass native backend.
@@ -182,22 +182,22 @@ impl FrameMap {
 }
 
 /// Per-tier trace segments: one span per contiguous run of same-tier
-/// execution, so a Perfetto timeline shows execution time migrating from
-/// the interpreter to the JIT as promotions happen.
+/// execution, so a Perfetto timeline shows execution time migrating up
+/// the ladder as promotions happen.
 struct TierSegments {
     active: bool,
-    cur: Option<(trace::Span, u8)>,
+    cur: Option<(trace::Span, Tier)>,
 }
 
 impl TierSegments {
-    fn new(active: bool) -> TierSegments {
+    fn new() -> TierSegments {
         TierSegments {
-            active: active && trace::enabled(),
+            active: trace::enabled(),
             cur: None,
         }
     }
 
-    fn enter(&mut self, tier: u8) {
+    fn enter(&mut self, tier: Tier) {
         if !self.active {
             return;
         }
@@ -209,9 +209,9 @@ impl TierSegments {
         // Dropping the old span records its end before the new one opens.
         self.cur = None;
         let name = match tier {
-            0 => "tier-interp",
-            1 => "tier-jit",
-            _ => "tier-native",
+            Tier::Interp => "tier-interp",
+            Tier::Jit => "tier-jit",
+            Tier::Native => "tier-native",
         };
         self.cur = Some((trace::span("vm", name), tier));
     }
@@ -248,22 +248,18 @@ impl<'m> Vm<'m> {
         result
     }
 
-    /// Call `f` with `args` under the tiered engine.
+    /// Call `f` with `args` under the tiered engine: a single stack of
+    /// interpreted, translated and native frames, with counter-driven
+    /// promotion and OSR.
     pub fn run_function_tiered(
         &mut self,
         f: FuncId,
         args: Vec<VmValue>,
     ) -> Result<Option<VmValue>, ExecError> {
-        let threshold = self.opts.tier_up;
-        let native_up = self.opts.native_up;
-        self.run_function_mixed(
-            f,
-            args,
-            MixedMode::Tiered {
-                threshold,
-                native_up,
-            },
-        )
+        self.pending_native_osr = None;
+        let mut stack: Vec<TFrame> = Vec::new();
+        self.push_mixed(&mut stack, f, args, Vec::new())?;
+        self.mixed_loop(&mut stack, &mut TierSegments::new())
     }
 
     /// Seed tier decisions from a prior run's profile (typically the
@@ -308,33 +304,9 @@ impl<'m> Vm<'m> {
         warmed
     }
 
-    /// The shared engine loop: a single stack of interpreted and
-    /// translated frames. `JitOnly` mode reproduces the historical
-    /// pure-JIT engine; `Tiered` adds counters, promotion, and OSR.
-    pub(crate) fn run_function_mixed(
-        &mut self,
-        f: FuncId,
-        args: Vec<VmValue>,
-        mode: MixedMode,
-    ) -> Result<Option<VmValue>, ExecError> {
-        self.tier_native_on = matches!(
-            mode,
-            MixedMode::Tiered {
-                native_up: Some(_),
-                ..
-            }
-        );
-        self.pending_native_osr = None;
-        let mut stack: Vec<TFrame> = Vec::new();
-        self.push_mixed(&mut stack, f, args, Vec::new(), mode)?;
-        let mut seg = TierSegments::new(matches!(mode, MixedMode::Tiered { .. }));
-        self.mixed_loop(&mut stack, mode, &mut seg)
-    }
-
     fn mixed_loop(
         &mut self,
         stack: &mut Vec<TFrame>,
-        mode: MixedMode,
         seg: &mut TierSegments,
     ) -> Result<Option<VmValue>, ExecError> {
         // What a hoisted interpreter burst ended with (the inner loop
@@ -356,12 +328,12 @@ impl<'m> Vm<'m> {
             // drops it (the frame may no longer sit at a block boundary).
             self.pending_native_osr = None;
             let tier_top = match stack.last().expect("frame") {
-                TFrame::I(_) => 0u8,
-                TFrame::J(_) => 1,
-                TFrame::N(_) => 2,
+                TFrame::I(_) => Tier::Interp,
+                TFrame::J(_) => Tier::Jit,
+                TFrame::N(_) => Tier::Native,
             };
             seg.enter(tier_top);
-            if tier_top == 2 {
+            if tier_top == Tier::Native {
                 // Native machine-code burst: runs until a call boundary,
                 // return, unwind, or trap.
                 let fr = match stack.last_mut().expect("frame") {
@@ -377,7 +349,7 @@ impl<'m> Vm<'m> {
                     } => {
                         // dst/eh already parked in the frame's typed
                         // pending slot by the burst loop.
-                        self.push_mixed(stack, target, args, varargs, mode)?;
+                        self.push_mixed(stack, target, args, varargs)?;
                         continue 'outer;
                     }
                     Flow::Ret(v) => {
@@ -394,7 +366,7 @@ impl<'m> Vm<'m> {
                         unreachable!("native bursts end at call/ret/unwind")
                     }
                 }
-            } else if tier_top == 1 {
+            } else if tier_top == Tier::Jit {
                 let lf = match stack.last().expect("frame") {
                     TFrame::J(fr) => fr.lf.clone(),
                     _ => unreachable!(),
@@ -427,7 +399,7 @@ impl<'m> Vm<'m> {
                             eh,
                         } => {
                             fr.pending = Some((dst, eh));
-                            self.push_mixed(stack, target, args, varargs, mode)?;
+                            self.push_mixed(stack, target, args, varargs)?;
                             continue 'outer;
                         }
                         Flow::Ret(v) => {
@@ -442,14 +414,10 @@ impl<'m> Vm<'m> {
                         }
                         Flow::Deopt { block } => {
                             // The fail edge is already taken: the frame
-                            // sits at the slow block's boundary. Tiered
-                            // execution rebuilds an interpreter frame
-                            // there; pure JIT keeps dispatching — the
-                            // slow path is ordinary translated code.
-                            if matches!(mode, MixedMode::Tiered { .. }) {
-                                self.deopt_enter(stack, block);
-                                continue 'outer;
-                            }
+                            // sits at the slow block's boundary, where an
+                            // interpreter frame is rebuilt.
+                            self.deopt_enter(stack, block);
+                            continue 'outer;
                         }
                     }
                 }
@@ -479,7 +447,7 @@ impl<'m> Vm<'m> {
                         let block = fr.block;
                         let fetched = func.inst(iid);
                         if !matches!(fetched, Inst::Phi { .. }) {
-                            self.charge_interp(fetched.opcode_index())?;
+                            self.charge(Tier::Interp, fetched.opcode_index())?;
                         }
                         match self.step(fr, block, iid, fetched)? {
                             StepResult::Continue => fr.idx += 1,
@@ -490,20 +458,14 @@ impl<'m> Vm<'m> {
                                 // function is (or just became) hot, switch
                                 // this activation to translated or native
                                 // code at the header (OSR).
-                                if let MixedMode::Tiered {
-                                    threshold,
-                                    native_up,
-                                } = mode
-                                {
-                                    if fr.block.index() <= block.index() {
-                                        let f = fr.func;
-                                        self.tier_bump(f, threshold, native_up);
-                                        if matches!(
-                                            self.tier[f.index()],
-                                            TierCell::Hot(_) | TierCell::Native
-                                        ) {
-                                            break After::Osr;
-                                        }
+                                if fr.block.index() <= block.index() {
+                                    let f = fr.func;
+                                    self.tier_bump(f);
+                                    if matches!(
+                                        self.tier[f.index()],
+                                        TierCell::Hot(_) | TierCell::Native
+                                    ) {
+                                        break After::Osr;
                                     }
                                 }
                             }
@@ -528,7 +490,7 @@ impl<'m> Vm<'m> {
                         target,
                         fixed,
                         extra,
-                    } => self.push_mixed(stack, target, fixed, extra, mode)?,
+                    } => self.push_mixed(stack, target, fixed, extra)?,
                     After::Ret(v) => {
                         if let Some(out) = self.deliver_return(stack, v)? {
                             return Ok(out);
@@ -542,27 +504,19 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Push an activation for `f`, choosing the tier per `mode`.
+    /// Push an activation for `f` on the tier the ladder picks.
     fn push_mixed(
         &mut self,
         stack: &mut Vec<TFrame>,
         f: FuncId,
         args: Vec<VmValue>,
         varargs: Vec<VmValue>,
-        mode: MixedMode,
     ) -> Result<(), ExecError> {
         if stack.len() >= self.opts.max_stack {
             return Err(ExecError::trap(TrapKind::StackOverflow, "call depth"));
         }
-        let choice = match mode {
-            MixedMode::JitOnly => TierChoice::Jit,
-            MixedMode::Tiered {
-                threshold,
-                native_up,
-            } => self.tier_decide_call(f, threshold, native_up),
-        };
-        match choice {
-            TierChoice::Native => {
+        match self.tier_decide_call(f) {
+            Tier::Native => {
                 if let Some(fr) = self.make_native_frame(f, &args)? {
                     stack.push(TFrame::N(fr));
                 } else {
@@ -574,11 +528,11 @@ impl<'m> Vm<'m> {
                     stack.push(TFrame::J(fr));
                 }
             }
-            TierChoice::Jit => {
+            Tier::Jit => {
                 let fr = self.make_jit_frame(f, args, varargs)?;
                 stack.push(TFrame::J(fr));
             }
-            TierChoice::Interp => {
+            Tier::Interp => {
                 let fr = self.make_frame(f, args, varargs)?;
                 stack.push(TFrame::I(fr));
             }
@@ -717,50 +671,42 @@ impl<'m> Vm<'m> {
     /// right here. A fresh JIT promotion immediately counts the same
     /// call toward native hotness, so `tier_up 0` + `native_up 0` runs
     /// everything native from the first call.
-    fn tier_decide_call(
-        &mut self,
-        f: FuncId,
-        threshold: u64,
-        native_up: Option<u64>,
-    ) -> TierChoice {
+    fn tier_decide_call(&mut self, f: FuncId) -> Tier {
         match self.tier[f.index()] {
-            TierCell::Native => TierChoice::Native,
-            TierCell::NativeDemoted => TierChoice::Jit,
-            TierCell::Demoted => TierChoice::Interp,
-            TierCell::Hot(_) => {
-                if self.native_call_bump(f, native_up) {
-                    TierChoice::Native
-                } else {
-                    TierChoice::Jit
-                }
-            }
+            TierCell::Native => Tier::Native,
+            TierCell::NativeDemoted => Tier::Jit,
+            TierCell::Demoted => Tier::Interp,
+            TierCell::Hot(_) => self.jit_or_native(f),
             TierCell::Cold(n) => {
                 let n = n.saturating_add(1);
                 self.tier[f.index()] = TierCell::Cold(n);
-                if n > threshold && self.try_promote(f) {
-                    if self.native_call_bump(f, native_up) {
-                        TierChoice::Native
-                    } else {
-                        TierChoice::Jit
-                    }
+                if n > self.opts.tier_up && self.try_promote(f) {
+                    self.jit_or_native(f)
                 } else {
-                    TierChoice::Interp
+                    Tier::Interp
                 }
             }
+        }
+    }
+
+    /// A call into JIT-tier `f`: count it toward native hotness and run
+    /// whichever translated tier it is on afterwards.
+    fn jit_or_native(&mut self, f: FuncId) -> Tier {
+        if self.native_call_bump(f) {
+            Tier::Native
+        } else {
+            Tier::Jit
         }
     }
 
     /// Count a hotness event against a JIT-tier function's native
     /// counter; promote to machine code when the threshold is crossed.
     /// Returns whether the function is on the native tier afterwards.
-    fn native_call_bump(&mut self, f: FuncId, native_up: Option<u64>) -> bool {
-        let Some(nu) = native_up else {
-            return false;
-        };
+    fn native_call_bump(&mut self, f: FuncId) -> bool {
         if let TierCell::Hot(n) = self.tier[f.index()] {
             let n = n.saturating_add(1);
             self.tier[f.index()] = TierCell::Hot(n);
-            if n > nu {
+            if n > self.opts.native_up {
                 return self.try_promote_native(f);
             }
         }
@@ -769,17 +715,17 @@ impl<'m> Vm<'m> {
 
     /// Bump `f`'s hotness counter for a loop back-edge; promote when the
     /// relevant threshold is crossed (cold → JIT, JIT → native).
-    fn tier_bump(&mut self, f: FuncId, threshold: u64, native_up: Option<u64>) {
+    fn tier_bump(&mut self, f: FuncId) {
         match self.tier[f.index()] {
             TierCell::Cold(n) => {
                 let n = n.saturating_add(1);
                 self.tier[f.index()] = TierCell::Cold(n);
-                if n > threshold {
+                if n > self.opts.tier_up {
                     self.try_promote(f);
                 }
             }
             TierCell::Hot(_) => {
-                self.native_call_bump(f, native_up);
+                self.native_call_bump(f);
             }
             _ => {}
         }
@@ -801,11 +747,12 @@ impl<'m> Vm<'m> {
                 }
                 true
             }
-            Err(_) => {
+            Err(b) => {
                 // `ensure_translated` already emitted the bail-to-interp
                 // instant with the error.
                 self.tier[f.index()] = TierCell::Demoted;
                 self.tier_stats.demoted += 1;
+                *self.tier_stats.demoted_by.entry(b.reason).or_default() += 1;
                 if trace::enabled() {
                     trace::instant_args(
                         "vm",
@@ -836,11 +783,16 @@ impl<'m> Vm<'m> {
                 }
                 true
             }
-            Err(_) => {
+            Err(b) => {
                 // `ensure_native_translated` already emitted the
                 // bail-to-jit instant with the error.
                 self.tier[f.index()] = TierCell::NativeDemoted;
                 self.tier_stats.native_demoted += 1;
+                *self
+                    .tier_stats
+                    .native_demoted_by
+                    .entry(b.reason)
+                    .or_default() += 1;
                 if trace::enabled() {
                     trace::instant_args(
                         "vm",
@@ -854,24 +806,14 @@ impl<'m> Vm<'m> {
     }
 
     /// Count a JIT-dispatched loop back-edge toward native promotion.
-    /// Called from [`Vm::take_edge`] (gated on `tier_native_on`); when
-    /// the function is — or just became — native, requests an OSR at
-    /// `to_block`, consumed by the dispatch loop at the very next
-    /// boundary check.
+    /// Called from [`Vm::take_edge`]; when the function is — or just
+    /// became — native, requests an OSR at `to_block`, consumed by the
+    /// dispatch loop at the very next boundary check.
     pub(crate) fn native_backedge_bump(&mut self, f: FuncId, to_block: u32) {
-        match self.tier[f.index()] {
-            TierCell::Hot(_) => {
-                let nu = self.opts.native_up;
-                if self.native_call_bump(f, nu) {
-                    self.pending_native_osr = Some(to_block);
-                }
-            }
-            TierCell::Native => {
-                // Promoted at a call boundary while this activation kept
-                // running translated code: switch it at this loop header.
-                self.pending_native_osr = Some(to_block);
-            }
-            _ => {}
+        // Also true for a function promoted at a call boundary while this
+        // activation kept running translated code: switch it here too.
+        if self.native_call_bump(f) {
+            self.pending_native_osr = Some(to_block);
         }
     }
 
@@ -1011,11 +953,15 @@ impl<'m> Vm<'m> {
         let n_slots = self.m_num_inst_slots(fr.func);
         let slab = self.interp_reg_pool.pop().unwrap_or_default();
         let dense = &fr.regs;
+        let mut reason = bail::OTHER;
         let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(a) = lpat_core::faultpoint!("tier.deopt") {
                 match a {
                     lpat_core::FaultAction::Delay(d) => std::thread::sleep(d),
-                    other => panic!("injected {other:?} fault at site 'tier.deopt'"),
+                    other => {
+                        reason = bail::INJECTED_FAULT;
+                        panic!("injected {other:?} fault at site 'tier.deopt'")
+                    }
                 }
             }
             FrameMap::to_sparse(dense, slab, n_slots)
@@ -1053,6 +999,7 @@ impl<'m> Vm<'m> {
                 let f = fr.func;
                 self.tier[f.index()] = TierCell::Demoted;
                 self.tier_stats.demoted += 1;
+                *self.tier_stats.demoted_by.entry(reason).or_default() += 1;
                 if trace::enabled() {
                     trace::instant_args(
                         "vm",
@@ -1102,7 +1049,11 @@ impl TierStats {
             "  promoted        {:>12}  (warm-start {}, osr {})\n",
             self.promoted, self.warmed, self.osr
         ));
-        s.push_str(&format!("  demoted         {:>12}\n", self.demoted));
+        s.push_str(&format!(
+            "  demoted         {:>12}{}\n",
+            self.demoted,
+            by_reason(&self.demoted_by)
+        ));
         s.push_str(&format!(
             "  translated      {:>12}  ({} us)\n",
             self.translated,
@@ -1112,12 +1063,30 @@ impl TierStats {
             "  native promoted {:>12}  (osr {})\n",
             self.native_promoted, self.native_osr
         ));
-        s.push_str(&format!("  native demoted  {:>12}\n", self.native_demoted));
+        s.push_str(&format!(
+            "  native demoted  {:>12}{}\n",
+            self.native_demoted,
+            by_reason(&self.native_demoted_by)
+        ));
         s.push_str(&format!(
             "  native compiled {:>12}  ({} us)\n",
             self.native_translated,
             self.native_translate_ns / 1_000
         ));
         s
+    }
+}
+
+/// `  (float 2, guard 1)` in [`bail::ALL`] order, or nothing when no
+/// function was demoted.
+fn by_reason(counts: &BTreeMap<&'static str, u64>) -> String {
+    let parts: Vec<String> = bail::ALL
+        .iter()
+        .filter_map(|r| counts.get(r).map(|n| format!("{r} {n}")))
+        .collect();
+    if parts.is_empty() {
+        String::new()
+    } else {
+        format!("  ({})", parts.join(", "))
     }
 }

@@ -8,7 +8,7 @@
 //! lpatc link    <in...> -o out      [--emit text|bc] [-O]
 //! lpatc dis     <in.bc>                                     bytecode -> text
 //! lpatc run     <in>    [-O] [--profile] [--fuel N] [--input a,b,c] [--max-stack N]
-//!               [--jit | --tiered] [--tier-up N] [--tier-native] [--native-up N]
+//!               [--tiered] [--tier-up N]
 //!               [--speculate] [--spec-threshold N]
 //!               [--cache-dir DIR] [--profile-in F] [--profile-out F]
 //! lpatc reopt   <in>    [--cache-dir DIR] [--profile-in F] [-o out] [--jobs N]
@@ -43,14 +43,12 @@
 //!
 //! `run --tiered` starts every function in the profiling interpreter and
 //! promotes it to the translated tier once its hotness counter (calls +
-//! loop back-edges) exceeds the threshold (`--tier-up N`, or the
-//! `LPAT_TIER_UP` environment variable; `--tier-up` implies `--tiered`).
-//! `--tier-native` enables the third tier: a function that stays hot on
-//! the JIT tier is translated once more — by the single-pass backend in
-//! `lpat_codegen::fast` — to risc32 machine code and executed by the
-//! fuel-metered emulator in `lpat_vm::native`. `--native-up N` sets the
-//! extra hotness required after JIT promotion (it implies
-//! `--tier-native`; without it the JIT threshold is reused). With a
+//! loop back-edges) exceeds the threshold (`--tier-up N`, default 50;
+//! `--tier-up` implies `--tiered`). A function that stays hot on the JIT
+//! tier — the same threshold again, counted from its JIT promotion — is
+//! translated once more, by the single-pass backend in
+//! `lpat_codegen::fast`, to risc32 machine code executed by the
+//! fuel-metered emulator in `lpat_vm::native`. With a
 //! lifelong store (`--cache-dir`) or `--profile-in`, functions recorded
 //! hot in *prior* runs are translated eagerly at load (warm-start), so a
 //! repeat run skips the warm-up entirely. `--stats` prints a per-tier
@@ -277,29 +275,15 @@ fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, Str
                     Err(e) => diag.warn(&format!("--profile-in {p}: {e}; starting fresh")),
                 }
             }
-            // `--tier-up N` implies `--tiered`; `LPAT_TIER_UP` only sets
-            // the threshold. `--tiered` wins over `--jit` if both appear.
+            // `--tier-up N` implies `--tiered` and sets both rungs: JIT
+            // promotion, and native promotion counted again from there.
             let tier_up_flag = flag_value(rest, "--tier-up");
-            let env_tier_up = std::env::var("LPAT_TIER_UP").ok();
-            if let Some(v) = tier_up_flag.or(env_tier_up.as_deref()) {
+            if let Some(v) = tier_up_flag {
                 opts.tier_up = v.parse().map_err(|_| "bad --tier-up value")?;
+                opts.native_up = opts.tier_up;
             }
-            // `--native-up N` implies `--tier-native`, and either implies
-            // `--tiered`: the machine-code tier only exists above the
-            // tiered engine's JIT tier. Without an explicit threshold the
-            // native tier reuses the JIT threshold (counted again from
-            // the moment of JIT promotion).
-            let native_up_flag = flag_value(rest, "--native-up");
-            let use_native = has_flag(rest, "--tier-native") || native_up_flag.is_some();
-            if use_native {
-                opts.native_up = Some(match native_up_flag {
-                    Some(v) => v.parse().map_err(|_| "bad --native-up value")?,
-                    None => opts.tier_up,
-                });
-            }
-            let use_tiered = has_flag(rest, "--tiered") || tier_up_flag.is_some() || use_native;
+            let use_tiered = has_flag(rest, "--tiered") || tier_up_flag.is_some();
             let profiling = opts.profile;
-            let use_jit = has_flag(rest, "--jit");
             // Accumulated prior profile for these exact module bytes —
             // the explicit `--profile-in` file (hash-checked above) plus
             // the store's lifetime profile. Feeds both tier warm-start
@@ -373,8 +357,6 @@ fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, Str
             let mut flush = lpat::vm::store::FlushGuard::new(store.as_ref(), run_hash);
             let result = if use_tiered {
                 vm.run_main_tiered()
-            } else if use_jit {
-                vm.run_main_jit()
             } else {
                 vm.run_main()
             };
@@ -601,8 +583,7 @@ fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, Str
                  flags: -o FILE, --emit text|bc, -O/-O2, --link-pipeline,\n\
                  \x20      --jobs N, --verify-each, --time-passes,\n\
                  \x20      --inject-faults PLAN, --no-degrade, --pass-budget-ms N,\n\
-                 \x20      --profile, --jit, --tiered, --tier-up N (or LPAT_TIER_UP),\n\
-                 \x20      --tier-native, --native-up N,\n\
+                 \x20      --profile, --tiered, --tier-up N,\n\
                  \x20      --fuel N, --input a,b,c, --max-stack N,\n\
                  \x20      --cache-dir DIR (or LPAT_CACHE_DIR), --profile-in FILE,\n\
                  \x20      --profile-out FILE, --hot-threshold N,\n\

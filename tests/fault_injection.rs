@@ -530,7 +530,7 @@ x:
                 let out = lpatc()
                     .arg("run")
                     .arg(&p)
-                    .args(["--tier-up", "1", "--native-up", "1", "--stats"])
+                    .args(["--tier-up", "1", "--stats"])
                     .args(["--inject-faults", "native.translate:io", "--quiet"])
                     .output()
                     .unwrap();

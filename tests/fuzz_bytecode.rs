@@ -42,10 +42,13 @@ fn corpus() -> Vec<Vec<u8>> {
 
 /// Feed one buffer to the reader; the only acceptable outcomes are
 /// `Ok` (then the module must survive a verify attempt — and if it *does*
-/// verify, actually run under both engines) or `Err`. Decode-only fuzzing
-/// would miss the execution paths a hostile-but-verifier-clean module can
-/// reach (mistyped indirect calls, absurd GEPs), so survivors are executed
-/// under a small fuel budget: any `Ok`/trap is fine, a panic is a bug.
+/// verify, actually run under the interpreter and under the tiered engine
+/// with both promotion thresholds at 0, so every function goes through
+/// both translators and runs as native code wherever the backend accepts
+/// it) or `Err`. Decode-only fuzzing would miss the execution paths a
+/// hostile-but-verifier-clean module can reach (mistyped indirect calls,
+/// absurd GEPs), so survivors are executed under a small fuel budget: any
+/// `Ok`/trap is fine, a panic is a bug.
 fn must_not_panic(buf: &[u8], what: &str) {
     let r = catch_unwind(AssertUnwindSafe(|| {
         if let Ok(m) = read_module("fuzz", buf) {
@@ -59,8 +62,13 @@ fn must_not_panic(buf: &[u8], what: &str) {
                 if let Ok(mut vm) = Vm::new(&m, opts.clone()) {
                     let _ = vm.run_main();
                 }
-                if let Ok(mut vm) = Vm::new(&m, opts) {
-                    let _ = vm.run_main_jit();
+                let eager = VmOptions {
+                    tier_up: 0,
+                    native_up: 0,
+                    ..opts
+                };
+                if let Ok(mut vm) = Vm::new(&m, eager) {
+                    let _ = vm.run_main_tiered();
                 }
             }
         }

@@ -167,15 +167,22 @@ fn linker_compact_is_dead_type_elimination() {
 fn jit_and_interpreter_agree_on_the_whole_suite() {
     // The paper's two execution paths (§3.4: offline codegen vs JIT
     // translation) must be observationally identical; here the reference
-    // interpreter and the translating engine run every benchmark.
+    // interpreter and the translating engine — every function on the JIT
+    // tier from its first call, never promoted to machine code — run
+    // every benchmark.
+    let jit = VmOptions {
+        tier_up: 0,
+        native_up: u64::MAX,
+        ..VmOptions::default()
+    };
     for (name, m) in lpat::workloads::compile_suite(0) {
         let mut a = Vm::new(&m, VmOptions::default()).unwrap();
         let ra = a
             .run_main()
             .unwrap_or_else(|e| panic!("{name} interp: {e}"));
-        let mut b = Vm::new(&m, VmOptions::default()).unwrap();
+        let mut b = Vm::new(&m, jit.clone()).unwrap();
         let rb = b
-            .run_main_jit()
+            .run_main_tiered()
             .unwrap_or_else(|e| panic!("{name} jit: {e}"));
         assert_eq!(ra, rb, "{name}: exit codes differ");
         assert_eq!(a.output, b.output, "{name}: output differs");

@@ -1,12 +1,13 @@
-//! Differential tests for the tiered execution engine: at *any* tier-up
-//! threshold — 0 (promote everything on first call), 1, the default, or
-//! effectively-infinite (never promote) — the tiered engine must be
-//! observationally identical to the reference interpreter: same program
-//! output, same return value or trap kind, same instruction count, fuel
-//! consumption, opcode histogram, and profile counters. This holds across
-//! the whole workload suite, for trapping programs, under injected
-//! translation faults (the tiered engine demotes and keeps going), and
-//! with warm-started tier decisions.
+//! Differential tests for the tiered execution engine (interp → JIT →
+//! machine code): at *any* pair of promotion thresholds — 0 (promote
+//! everything on first call), 1, the default, or effectively-infinite
+//! (never promote) — the tiered engine must be observationally identical
+//! to the reference interpreter: same program output, same return value
+//! or trap kind, same instruction count, fuel consumption, opcode
+//! histogram, and profile counters. This holds across the whole workload
+//! suite, with the JIT tier pinned (`native_up = u64::MAX`), for trapping
+//! programs, under injected translation faults (the tiered engine demotes
+//! and keeps going), and with warm-started tier decisions.
 
 use std::process::Command;
 
@@ -32,6 +33,9 @@ fn observe(
     observe_spec(m, engine, tier_up, warm, None)
 }
 
+/// The default native threshold: `observe` varies only the first rung.
+const NATIVE_UP: u64 = 50;
+
 fn observe_spec(
     m: &lpat::core::Module,
     engine: &str,
@@ -39,19 +43,20 @@ fn observe_spec(
     warm: Option<&lpat::vm::ProfileData>,
     spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
 ) -> Observed {
-    observe_full(m, engine, tier_up, None, warm, spec)
+    observe_full(m, engine, tier_up, NATIVE_UP, warm, spec)
 }
 
-/// Tiered run with the third (machine-code) tier enabled.
-fn observe_native(m: &lpat::core::Module, tier_up: u64, native_up: u64) -> Observed {
-    observe_full(m, "tiered", tier_up, Some(native_up), None, None)
+/// Tiered run with both promotion thresholds chosen: `native_up =
+/// u64::MAX` pins hot code on the JIT tier.
+fn observe_tiers(m: &lpat::core::Module, tier_up: u64, native_up: u64) -> Observed {
+    observe_full(m, "tiered", tier_up, native_up, None, None)
 }
 
 fn observe_full(
     m: &lpat::core::Module,
     engine: &str,
     tier_up: u64,
-    native_up: Option<u64>,
+    native_up: u64,
     warm: Option<&lpat::vm::ProfileData>,
     spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
 ) -> Observed {
@@ -71,7 +76,6 @@ fn observe_full(
     }
     let r = match engine {
         "interp" => vm.run_main(),
-        "jit" => vm.run_main_jit(),
         "tiered" => vm.run_main_tiered(),
         other => panic!("unknown engine {other}"),
     };
@@ -102,9 +106,14 @@ fn tiered_matches_interp_across_suite_at_every_threshold() {
             let tiered = observe(&m, "tiered", t, None);
             assert_eq!(reference, tiered, "workload {name} diverged at tier_up={t}");
         }
-        // The full JIT must agree too (it shares the mixed-frame loop).
-        let jit = observe(&m, "jit", 0, None);
-        assert_eq!(reference, jit, "workload {name} diverged under full JIT");
+        // The JIT tier pinned: every function translated on first call
+        // and kept off machine code, so the LowFunc tier alone runs the
+        // whole suite.
+        let jit = observe_tiers(&m, 0, u64::MAX);
+        assert_eq!(
+            reference, jit,
+            "workload {name} diverged on the pinned JIT tier"
+        );
     }
 }
 
@@ -118,7 +127,7 @@ fn native_tier_matches_interp_across_suite_at_every_threshold() {
     for (name, m) in lpat::workloads::compile_suite(0) {
         let reference = observe(&m, "interp", 0, None);
         for t in THRESHOLDS {
-            let native = observe_native(&m, t, t);
+            let native = observe_tiers(&m, t, t);
             assert_eq!(
                 reference, native,
                 "workload {name} diverged at tier_up={t}/native_up={t}"
@@ -137,7 +146,7 @@ fn native_tier_executes_the_bulk_of_a_hot_loop() {
     let (name, m) = &suite[0]; // 164.gzip: loop-heavy
     let opts = VmOptions {
         tier_up: 0,
-        native_up: Some(0),
+        native_up: 0,
         ..VmOptions::default()
     };
     let mut vm = Vm::new(m, opts).unwrap();
@@ -155,7 +164,7 @@ fn native_tier_executes_the_bulk_of_a_hot_loop() {
     // machine code.
     let opts = VmOptions {
         tier_up: 1,
-        native_up: Some(1),
+        native_up: 1,
         ..VmOptions::default()
     };
     let mut vm = Vm::new(m, opts).unwrap();
@@ -204,11 +213,75 @@ fn warm_start_promotes_hot_functions_eagerly() {
     vm2.run_main_tiered()
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     // The warm run starts hot: it never needs OSR for the functions the
-    // profile already identified.
+    // profile already identified, so at least as much runs translated —
+    // on either translated tier, since hot code moves on to machine code
+    // — and no more runs interpreted.
+    let (cold, warm) = (&vm.tier_stats, &vm2.tier_stats);
     assert!(
-        vm2.tier_stats.jit_insts >= vm.tier_stats.jit_insts,
-        "{name}: warm run executed fewer JIT instructions than cold"
+        warm.jit_insts + warm.native_insts >= cold.jit_insts + cold.native_insts,
+        "{name}: warm run translated fewer instructions than cold: {warm:?} vs {cold:?}"
     );
+    assert!(
+        warm.interp_insts <= cold.interp_insts,
+        "{name}: warm run interpreted more instructions than cold: {warm:?} vs {cold:?}"
+    );
+}
+
+#[test]
+fn native_bails_are_counted_by_reason() {
+    // A hot float function and a hot 64-bit compare: both reach the JIT
+    // tier, the native backend refuses each for its own reason, and the
+    // tier table says which. `main` itself is all 32-bit and goes native.
+    let m = lpat::asm::parse_module(
+        "t",
+        "
+define int @twice(int %x) {
+e:
+  %d = cast int %x to double
+  %s = add double %d, %d
+  %r = cast double %s to int
+  ret int %r
+}
+define int @wide(int %x) {
+e:
+  %n = cast int %x to long
+  %c = setlt long %n, 5
+  %r = cast bool %c to int
+  ret int %r
+}
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %h ]
+  %t = call int @twice(int %i)
+  %w = call int @wide(int %i)
+  %i2 = add int %i, 1
+  %c = setlt int %i2, 20
+  br bool %c, label %h, label %x
+x:
+  ret int %w
+}",
+    )
+    .unwrap();
+    m.verify().unwrap_or_else(|e| panic!("{e:?}"));
+    let opts = VmOptions {
+        tier_up: 1,
+        native_up: 1,
+        ..VmOptions::default()
+    };
+    let mut vm = Vm::new(&m, opts).unwrap();
+    assert_eq!(vm.run_main_tiered().unwrap(), 0);
+    let t = &vm.tier_stats;
+    assert_eq!(t.native_demoted_by.get("float"), Some(&1), "{t:?}");
+    assert_eq!(t.native_demoted_by.get("compare64"), Some(&1), "{t:?}");
+    assert_eq!(t.native_demoted_by.values().sum::<u64>(), t.native_demoted);
+    let table = t.render();
+    let line = table
+        .lines()
+        .find(|l| l.trim_start().starts_with("native demoted"))
+        .unwrap();
+    assert!(line.contains("(float 1, compare64 1"), "{table}");
 }
 
 // ---------------------------------------------------------------------
@@ -224,7 +297,7 @@ fn trap_case(src: &str, expect: TrapKind) {
     for t in THRESHOLDS {
         let tiered = observe(&m, "tiered", t, None);
         assert_eq!(reference, tiered, "trap case diverged at tier_up={t}");
-        let native = observe_native(&m, t, t);
+        let native = observe_tiers(&m, t, t);
         assert_eq!(reference, native, "trap case diverged at native_up={t}");
     }
 }
@@ -267,7 +340,7 @@ l:
     )
     .unwrap();
     for t in THRESHOLDS {
-        for native_up in [None, Some(t)] {
+        for native_up in [u64::MAX, t] {
             let opts = VmOptions {
                 fuel: Some(10_000),
                 tier_up: t,
@@ -282,7 +355,7 @@ l:
             assert_eq!(vm.opts.fuel, Some(0));
             assert_eq!(
                 vm.insts_executed, 10_000,
-                "tier_up={t} native_up={native_up:?}"
+                "tier_up={t} native_up={native_up}"
             );
         }
     }
@@ -351,7 +424,7 @@ x:
     for t in THRESHOLDS {
         let tiered = observe(&m, "tiered", t, None);
         assert_eq!(reference, tiered, "invoke case diverged at tier_up={t}");
-        let native = observe_native(&m, t, t);
+        let native = observe_tiers(&m, t, t);
         assert_eq!(reference, native, "invoke case diverged at native_up={t}");
     }
 }
@@ -419,19 +492,6 @@ x:
     assert_eq!(reference.status.code(), faulted.status.code());
     assert_eq!(reference.stdout, faulted.stdout);
 
-    // Same plan under the pure JIT is fatal — demotion is a tiered-only
-    // recovery.
-    let jit_faulted = lpatc()
-        .arg("run")
-        .arg(&p)
-        .arg("--jit")
-        .arg("--inject-faults")
-        .arg("jit.translate:io@1")
-        .arg("--quiet")
-        .output()
-        .unwrap();
-    assert_eq!(jit_faulted.status.code(), Some(2), "pure JIT must fail");
-
     // A fault on only the *first* translation demotes one function; the
     // rest still promote, and the answer is still right.
     let partial = lpatc()
@@ -488,7 +548,7 @@ x:
     let native = lpatc()
         .arg("run")
         .arg(&p)
-        .args(["--tier-up", "1", "--native-up", "1", "--quiet"])
+        .args(["--tier-up", "1", "--quiet"])
         .output()
         .unwrap();
     assert_eq!(reference.status.code(), native.status.code());
@@ -499,7 +559,7 @@ x:
     let faulted = lpatc()
         .arg("run")
         .arg(&p)
-        .args(["--tier-up", "1", "--native-up", "1"])
+        .args(["--tier-up", "1"])
         .args(["--inject-faults", "native.translate:io"])
         .args(["--stats", "--quiet"])
         .output()
@@ -521,6 +581,10 @@ x:
             .unwrap_or_else(|| panic!("no '{label}' row in stats:\n{stats}"))
     };
     assert!(row("native demoted") >= 1, "stats:\n{stats}");
+    assert!(
+        stats.contains("(injected_fault "),
+        "demotions not attributed to the fault:\n{stats}"
+    );
     assert_eq!(row("native insts"), 0, "stats:\n{stats}");
     assert!(row("jit insts") > 0, "stats:\n{stats}");
 
@@ -529,7 +593,7 @@ x:
     let partial = lpatc()
         .arg("run")
         .arg(&p)
-        .args(["--tier-up", "1", "--native-up", "1"])
+        .args(["--tier-up", "1"])
         .args(["--inject-faults", "native.translate:io@1"])
         .arg("--quiet")
         .output()
@@ -541,7 +605,7 @@ x:
 // ---------------------------------------------------------------------
 // Speculation differentials: a speculated module (guards installed as an
 // in-memory overlay) must stay observationally identical across the
-// interpreter, the tiered engine at every threshold, and the full JIT —
+// interpreter, the tiered engine at every threshold, and the pinned JIT —
 // fuel, opcode histogram, and profile counters included. Guard failure
 // in translated code deoptimizes back to the interpreter frame.
 // ---------------------------------------------------------------------
@@ -628,14 +692,17 @@ fn speculated_tiered_matches_interp_at_every_threshold() {
         assert_eq!(reference, tiered, "speculated run diverged at tier_up={t}");
         // Guarded functions bail out of the native translator and stay on
         // the JIT tier, so the answer survives the third tier too.
-        let native = observe_full(&sm, "tiered", t, Some(t), None, Some(&map));
+        let native = observe_full(&sm, "tiered", t, t, None, Some(&map));
         assert_eq!(
             reference, native,
             "speculated run diverged at native_up={t}"
         );
     }
-    let jit = observe_spec(&sm, "jit", 0, None, Some(&map));
-    assert_eq!(reference, jit, "speculated run diverged under full JIT");
+    let jit = observe_full(&sm, "tiered", 0, u64::MAX, None, Some(&map));
+    assert_eq!(
+        reference, jit,
+        "speculated run diverged on the pinned JIT tier"
+    );
 }
 
 #[test]
