@@ -1,16 +1,17 @@
 //! `vmperf` — the VM execution-engine benchmark.
 //!
 //! Runs every workload under four engines — the reference interpreter,
-//! the tiered engine cold (the interp → JIT → machine-code ladder,
+//! the tiered engine cold (the interp ⇄ machine-code ladder,
 //! counter-driven), the tiered engine warm-started from a prior run's
 //! profile, and the tiered engine over the full lifelong cycle (offline
 //! profile-guided reoptimization plus speculation with guards,
-//! warm-started) — and emits `BENCH_vm.json` (`lpat-bench-vm/v4`):
-//! per-workload wall time (best of N reps), instructions/second,
-//! translation time, promotion counts, machine-code tier counters,
-//! demotions by bail reason, and guard / deoptimization counts for the
-//! speculative rows, plus the headline geomeans (tiered vs. interpreter,
-//! warm vs. cold, spec-warm vs. cold).
+//! warm-started) — and emits `BENCH_vm.json` (`lpat-bench-vm/v5`):
+//! per-workload wall time (median and interquartile range of N reps),
+//! instructions/second, translation time, promotion, OSR and
+//! machine-code instruction counts, demotions by bail reason, and guard
+//! / deoptimization counts for the speculative rows, plus the headline
+//! geomeans of the medians (tiered vs. interpreter, warm vs. cold,
+//! spec-warm vs. cold).
 //!
 //! Every engine's program output and exit code are asserted identical to
 //! the interpreter's before any timing is reported — a benchmark of a
@@ -21,8 +22,9 @@
 //!     [-- --workloads GLOB] [-- --engines LIST]
 //! ```
 //!
-//! `--quick` drops to one rep per engine (the CI smoke configuration);
-//! the committed artifact is generated in release mode without it.
+//! The committed artifact is generated in release mode with
+//! [`REPS`] reps per row; `--quick` drops to 3 (the CI smoke
+//! configuration).
 //! `--workloads GLOB` (shell-style `*`/`?`) and `--engines LIST`
 //! (comma-separated) restrict the run for iterating on one engine or one
 //! workload; a restricted run prints the table but skips the JSON
@@ -38,9 +40,15 @@ use lpat_vm::{PgoOptions, TierStats, Vm, VmOptions};
 /// Engine rows in artifact order. `interp` is ground truth and always runs.
 const ENGINES: [&str; 4] = ["interp", "tiered", "tiered_warm", "tiered_spec"];
 
+/// Reps per row in the committed artifact.
+const REPS: usize = 11;
+
 #[derive(Clone, Default)]
 struct EngineResult {
+    /// Median wall time over the reps.
     wall_ms: f64,
+    /// Interquartile range of the reps' wall times.
+    wall_iqr_ms: f64,
     insts: u64,
     tier: TierStats,
     guards: u64,
@@ -86,6 +94,7 @@ fn run_once(
     (
         EngineResult {
             wall_ms,
+            wall_iqr_ms: 0.0,
             insts: vm.insts_executed,
             tier: vm.tier_stats.clone(),
             guards: s.emitted,
@@ -98,9 +107,20 @@ fn run_once(
     )
 }
 
-/// Best-of-`reps` timing (minimum wall time; counters from the last rep —
-/// they are identical across reps by determinism).
-fn run_best(
+/// `(q1, median, q3)` of `v`, linearly interpolated.
+fn quartiles(mut v: Vec<f64>) -> (f64, f64, f64) {
+    v.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let x = q * (v.len() - 1) as f64;
+        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
+    };
+    (at(0.25), at(0.5), at(0.75))
+}
+
+/// `reps` timed runs: median wall time and its IQR; counters from the
+/// last rep (they are identical across reps by determinism).
+fn run_reps(
     m: &lpat_core::Module,
     engine: &str,
     warm: Option<&lpat_vm::ProfileData>,
@@ -108,7 +128,7 @@ fn run_best(
     reps: usize,
     expect: Option<&(i64, String)>,
 ) -> (EngineResult, i64, String) {
-    let mut best: Option<EngineResult> = None;
+    let mut walls = Vec::with_capacity(reps);
     let mut last = None;
     for _ in 0..reps {
         let (r, code, out) = run_once(m, engine, warm, spec);
@@ -120,14 +140,14 @@ fn run_best(
                 m.name
             );
         }
-        best = Some(match best {
-            Some(b) if b.wall_ms <= r.wall_ms => b,
-            _ => r,
-        });
-        last = Some((code, out));
+        walls.push(r.wall_ms);
+        last = Some((r, code, out));
     }
-    let (code, out) = last.unwrap();
-    (best.unwrap(), code, out)
+    let (mut r, code, out) = last.unwrap();
+    let (q1, median, q3) = quartiles(walls);
+    r.wall_ms = median;
+    r.wall_iqr_ms = q3 - q1;
+    (r, code, out)
 }
 
 fn jnum(v: f64) -> String {
@@ -192,7 +212,7 @@ fn main() {
     let workloads_pat = flag_value(&args, "--workloads");
     let engines_list = flag_value(&args, "--engines");
     let scale = 0u32;
-    let reps = if quick { 1 } else { 3 };
+    let reps = if quick { 3 } else { REPS };
 
     let selected: Vec<&str> = match engines_list {
         Some(list) => {
@@ -232,7 +252,7 @@ fn main() {
         let m = lpat_bench::prepare(w.name, &w.source);
         // Reference run: the interpreter's answer is ground truth. It is
         // timed only when selected, but always runs once for the oracle.
-        let (interp, code, output) = run_best(&m, "interp", None, None, reps, None);
+        let (interp, code, output) = run_reps(&m, "interp", None, None, reps, None);
         let expect = (code, output);
         // Warm-start profile (one untimed instrumented tiered run) and the
         // speculation overlay are built lazily: only the engines that
@@ -291,16 +311,16 @@ fn main() {
         let mut engines: BTreeMap<&str, EngineResult> = BTreeMap::new();
         for e in &selected {
             let r = match *e {
-                // The oracle run already timed the interpreter best-of-N.
+                // The oracle run already timed the interpreter.
                 "interp" => interp.clone(),
                 "tiered_warm" => {
-                    run_best(&m, "tiered", profile.as_ref(), None, reps, Some(&expect)).0
+                    run_reps(&m, "tiered", profile.as_ref(), None, reps, Some(&expect)).0
                 }
                 "tiered_spec" => {
                     let (sm, profile2, map) = spec_setup.as_ref().unwrap();
-                    run_best(sm, "tiered", Some(profile2), Some(map), reps, Some(&expect)).0
+                    run_reps(sm, "tiered", Some(profile2), Some(map), reps, Some(&expect)).0
                 }
-                other => run_best(&m, other, None, None, reps, Some(&expect)).0,
+                other => run_reps(&m, other, None, None, reps, Some(&expect)).0,
             };
             engines.insert(e, r);
         }
@@ -336,7 +356,7 @@ fn main() {
     // Hand-serialized (the workspace has no serde); validated below.
     let mut j = String::new();
     j.push_str("{\n");
-    j.push_str("  \"schema\": \"lpat-bench-vm/v4\",\n");
+    j.push_str("  \"schema\": \"lpat-bench-vm/v5\",\n");
     j.push_str(&format!("  \"scale\": {scale},\n"));
     j.push_str(&format!("  \"reps\": {reps},\n"));
     j.push_str("  \"workloads\": [\n");
@@ -344,8 +364,9 @@ fn main() {
         let eng = |e: &str| -> String {
             let r = &engines[e];
             let mut s = format!(
-                "{{\"wall_ms\": {}, \"insts\": {}, \"insts_per_sec\": {}",
+                "{{\"wall_ms\": {}, \"wall_iqr_ms\": {}, \"insts\": {}, \"insts_per_sec\": {}",
                 jnum(r.wall_ms),
+                jnum(r.wall_iqr_ms),
                 r.insts,
                 jnum(r.insts_per_sec()),
             );
@@ -355,22 +376,14 @@ fn main() {
                 let t = &r.tier;
                 s.push_str(&format!(
                     ", \"translate_ms\": {}, \"promoted\": {}, \"warmed\": {}, \"osr\": {}, \
-                     \"demoted\": {}, \"demoted_by\": {}, \
-                     \"native_translate_ms\": {}, \"native_promoted\": {}, \
-                     \"native_osr\": {}, \"native_insts\": {}, \
-                     \"native_demoted\": {}, \"native_demoted_by\": {}",
-                    jnum(t.translate_ns as f64 / 1e6),
+                     \"native_insts\": {}, \"demoted\": {}, \"demoted_by\": {}",
+                    jnum(t.native_translate_ns as f64 / 1e6),
                     t.promoted,
                     t.warmed,
                     t.osr,
+                    t.native_insts,
                     t.demoted,
                     jcounts(&t.demoted_by),
-                    jnum(t.native_translate_ns as f64 / 1e6),
-                    t.native_promoted,
-                    t.native_osr,
-                    t.native_insts,
-                    t.native_demoted,
-                    jcounts(&t.native_demoted_by),
                 ));
             }
             if e == "tiered_spec" {

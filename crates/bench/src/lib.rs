@@ -341,21 +341,22 @@ fn json_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Validate a `BENCH_vm.json` document against the `lpat-bench-vm/v4`
+/// Validate a `BENCH_vm.json` document against the `lpat-bench-vm/v5`
 /// schema: four engines (`interp` and three rows of the one tiered
-/// engine, whose ladder always includes the machine-code rung), each
-/// tiered row with JIT and native translation/promotion/OSR counters and
-/// its demotions split by bail reason (`demoted_by`,
-/// `native_demoted_by`: keys from `lpat_codegen::fast::bail::ALL`,
-/// summing to `demoted` / `native_demoted`), plus the tiered-vs-interp,
-/// warm-vs-cold and spec-vs-cold geomeans. Earlier schema tags are
-/// rejected outright — a v3 file benchmarks engines that no longer
-/// exist and must be regenerated. Used by `vmperf` to self-check its
-/// output and by the CI smoke job to validate the committed artifact.
+/// engine, whose ladder is interpreter ⇄ machine code), each row with
+/// its median wall time and interquartile range, each tiered row with
+/// the one rung's translation/promotion/OSR/instruction counters and
+/// its demotions split by bail reason (`demoted_by`: keys from
+/// `lpat_codegen::fast::bail::ALL`, summing to `demoted`), plus the
+/// tiered-vs-interp, warm-vs-cold and spec-vs-cold geomeans. Earlier
+/// schema tags are rejected outright — a v4 file benchmarks a JIT rung
+/// that no longer exists and must be regenerated. Used by `vmperf` to
+/// self-check its output and by the CI smoke job to validate the
+/// committed artifact.
 pub fn validate_vm_bench(text: &str) -> Result<(), String> {
     let doc = parse_json(text)?;
-    if doc.get("schema").and_then(Json::str) != Some("lpat-bench-vm/v4") {
-        return Err("schema must be \"lpat-bench-vm/v4\"".into());
+    if doc.get("schema").and_then(Json::str) != Some("lpat-bench-vm/v5") {
+        return Err("schema must be \"lpat-bench-vm/v5\"".into());
     }
     for key in ["scale", "reps"] {
         doc.get(key)
@@ -381,51 +382,39 @@ pub fn validate_vm_bench(text: &str) -> Result<(), String> {
             let e = engines
                 .get(eng)
                 .ok_or_else(|| format!("{name}: missing engine '{eng}'"))?;
-            for field in ["wall_ms", "insts", "insts_per_sec"] {
+            for field in ["wall_ms", "wall_iqr_ms", "insts", "insts_per_sec"] {
                 e.get(field)
                     .and_then(Json::num)
                     .ok_or_else(|| format!("{name}.{eng}: missing numeric '{field}'"))?;
             }
             if eng != "interp" {
-                for field in [
-                    "translate_ms",
-                    "promoted",
-                    "osr",
-                    "warmed",
-                    "native_translate_ms",
-                    "native_promoted",
-                    "native_osr",
-                    "native_insts",
-                ] {
+                for field in ["translate_ms", "promoted", "osr", "warmed", "native_insts"] {
                     e.get(field)
                         .and_then(Json::num)
                         .ok_or_else(|| format!("{name}.{eng}: missing '{field}'"))?;
                 }
-                for (total, by) in [
-                    ("demoted", "demoted_by"),
-                    ("native_demoted", "native_demoted_by"),
-                ] {
-                    let want = e
-                        .get(total)
-                        .and_then(Json::num)
-                        .ok_or_else(|| format!("{name}.{eng}: missing '{total}'"))?;
-                    let Some(Json::Obj(reasons)) = e.get(by) else {
-                        return Err(format!("{name}.{eng}: missing object '{by}'"));
-                    };
-                    let mut sum = 0.0;
-                    for (reason, n) in reasons {
-                        if !lpat_codegen::fast::bail::ALL.contains(&reason.as_str()) {
-                            return Err(format!("{name}.{eng}.{by}: unknown reason '{reason}'"));
-                        }
-                        sum += n
-                            .num()
-                            .ok_or_else(|| format!("{name}.{eng}.{by}.{reason}: not a number"))?;
-                    }
-                    if sum != want {
+                let want = e
+                    .get("demoted")
+                    .and_then(Json::num)
+                    .ok_or_else(|| format!("{name}.{eng}: missing 'demoted'"))?;
+                let Some(Json::Obj(reasons)) = e.get("demoted_by") else {
+                    return Err(format!("{name}.{eng}: missing object 'demoted_by'"));
+                };
+                let mut sum = 0.0;
+                for (reason, n) in reasons {
+                    if !lpat_codegen::fast::bail::ALL.contains(&reason.as_str()) {
                         return Err(format!(
-                            "{name}.{eng}: '{by}' sums to {sum}, '{total}' is {want}"
+                            "{name}.{eng}.demoted_by: unknown reason '{reason}'"
                         ));
                     }
+                    sum += n
+                        .num()
+                        .ok_or_else(|| format!("{name}.{eng}.demoted_by.{reason}: not a number"))?;
+                }
+                if sum != want {
+                    return Err(format!(
+                        "{name}.{eng}: 'demoted_by' sums to {sum}, 'demoted' is {want}"
+                    ));
                 }
             }
             if eng == "tiered_spec" {
@@ -654,23 +643,20 @@ mod tests {
     #[test]
     fn vm_bench_validator_accepts_good_and_rejects_bad() {
         let good = r#"{
-  "schema": "lpat-bench-vm/v4", "scale": 0, "reps": 3,
+  "schema": "lpat-bench-vm/v5", "scale": 0, "reps": 11,
   "workloads": [
     {"name": "w", "engines": {
-      "interp": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000},
-      "tiered": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                 "promoted": 2, "warmed": 0, "osr": 1, "demoted": 0, "demoted_by": {},
-                 "native_translate_ms": 0.1, "native_promoted": 1, "native_osr": 1,
-                 "native_insts": 5, "native_demoted": 3,
-                 "native_demoted_by": {"float": 2, "guard": 1}},
-      "tiered_warm": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                      "promoted": 2, "warmed": 2, "osr": 0, "demoted": 0, "demoted_by": {},
-                      "native_translate_ms": 0.1, "native_promoted": 1, "native_osr": 0,
-                      "native_insts": 5, "native_demoted": 0, "native_demoted_by": {}},
-      "tiered_spec": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                      "promoted": 2, "warmed": 2, "osr": 0, "demoted": 0, "demoted_by": {},
-                      "native_translate_ms": 0.1, "native_promoted": 1, "native_osr": 0,
-                      "native_insts": 5, "native_demoted": 0, "native_demoted_by": {},
+      "interp": {"wall_ms": 1, "wall_iqr_ms": 0.1, "insts": 10, "insts_per_sec": 10000},
+      "tiered": {"wall_ms": 1, "wall_iqr_ms": 0.1, "insts": 10, "insts_per_sec": 10000,
+                 "translate_ms": 0.1, "promoted": 2, "warmed": 0, "osr": 1,
+                 "native_insts": 5, "demoted": 3,
+                 "demoted_by": {"varargs": 2, "injected_fault": 1}},
+      "tiered_warm": {"wall_ms": 1, "wall_iqr_ms": 0.1, "insts": 10, "insts_per_sec": 10000,
+                      "translate_ms": 0.1, "promoted": 2, "warmed": 2, "osr": 0,
+                      "native_insts": 5, "demoted": 0, "demoted_by": {}},
+      "tiered_spec": {"wall_ms": 1, "wall_iqr_ms": 0.1, "insts": 10, "insts_per_sec": 10000,
+                      "translate_ms": 0.1, "promoted": 2, "warmed": 2, "osr": 0,
+                      "native_insts": 5, "demoted": 0, "demoted_by": {},
                       "guards": 1, "guard_passed": 9, "guard_failed": 1, "deopts": 1}
     }}
   ],
@@ -680,19 +666,21 @@ mod tests {
 }"#;
         validate_vm_bench(good).unwrap();
         assert!(validate_vm_bench("{}").is_err());
-        // Earlier schema tags must be rejected: a v3 file benchmarks the
-        // deleted pure-JIT and optional-native engines.
-        for old in ["v1", "v2", "v3"] {
+        // Earlier schema tags must be rejected: a v4 file benchmarks the
+        // deleted JIT rung.
+        for old in ["v1", "v2", "v3", "v4"] {
             let tag = format!("lpat-bench-vm/{old}");
-            assert!(validate_vm_bench(&good.replace("lpat-bench-vm/v4", &tag)).is_err());
+            assert!(validate_vm_bench(&good.replace("lpat-bench-vm/v5", &tag)).is_err());
         }
         assert!(validate_vm_bench(&good.replace("\"tiered\":", "\"other\":")).is_err());
         assert!(validate_vm_bench(&good.replace("\"promoted\": 2,", "")).is_err());
-        assert!(validate_vm_bench(&good.replace("\"native_promoted\": 1,", "")).is_err());
+        assert!(validate_vm_bench(&good.replacen("\"wall_iqr_ms\": 0.1,", "", 1)).is_err());
+        assert!(validate_vm_bench(&good.replace("\"native_insts\": 5,", "")).is_err());
         assert!(validate_vm_bench(&good.replace("\"guards\": 1,", "")).is_err());
-        // Demotion reasons: closed key set, and they add up.
-        assert!(validate_vm_bench(&good.replace("\"float\": 2", "\"floaty\": 2")).is_err());
-        assert!(validate_vm_bench(&good.replace("\"float\": 2", "\"float\": 1")).is_err());
+        // Demotion reasons: closed key set, and they add up. Reasons the
+        // backend no longer has are unknown.
+        assert!(validate_vm_bench(&good.replace("\"varargs\": 2", "\"float\": 2")).is_err());
+        assert!(validate_vm_bench(&good.replace("\"varargs\": 2", "\"varargs\": 1")).is_err());
         assert!(validate_vm_bench(&good.replacen("\"demoted_by\": {},", "", 1)).is_err());
         assert!(validate_vm_bench(
             &good.replace("\"geomean_speedup_spec_warm_vs_cold\": 1.4", "\"x\": 1")
@@ -708,6 +696,9 @@ mod tests {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{}: {e} (regenerate with vmperf)", path.display()));
         validate_vm_bench(&text).unwrap_or_else(|e| panic!("committed BENCH_vm.json: {e}"));
+        // The committed rows are medians of at least ten reps.
+        let reps = parse_json(&text).unwrap().get("reps").and_then(Json::num);
+        assert!(reps >= Some(10.0), "committed BENCH_vm.json: reps {reps:?}");
     }
 
     #[test]

@@ -11,47 +11,52 @@
 //!
 //! Every SSA value is assigned a [`Class`] from its static type and one
 //! permanent **home**: a register of the risc32 file, or a frame slot when
-//! the file is full (spill on pressure). Registers hold the low 32 bits of
-//! the interpreter's canonical two's-complement value:
+//! the file is full (spill on pressure). Registers are 64 bits wide and
+//! hold the bit pattern of the interpreter's canonical value:
 //!
-//! * classes ≤ 32 bits (`Bool`, `S8`…`U32`, `Ptr`) are **exact**: the
-//!   canonical `i64` is the sign/zero-extension of the register, so every
-//!   operation below reproduces interpreter semantics bit-for-bit;
-//! * 64-bit integers get the [`Class::L64`] *low-word view*: the register
-//!   carries only the low 32 bits, and the translator admits exactly the
-//!   operations whose observable result is determined by those bits
-//!   (add/sub/mul/bitwise, GEP indexing, truncating casts, 8-byte loads).
-//!   Anything else — compares, shifts, division, stores, returns, call
-//!   arguments — **bails out** of native translation for the whole
-//!   function, demoting it to the `LowFunc` JIT tier;
-//! * floats always bail: the risc32 executable subset is an integer file.
+//! * classes ≤ 32 bits (`Bool`, `S8`…`U32`, `Ptr`) live in the **low
+//!   word**: the canonical `i64` is the sign/zero-extension of those 32
+//!   bits, and the upper word is never read. 32-bit operations keep
+//!   their 32-bit encodings; add/sub/mul/bitwise ops compute all 64 bits,
+//!   whose low word equals the 32-bit result;
+//! * 64-bit integers (`S64`, `U64`) use the **whole register**. Shifts,
+//!   division, remainder, compares and tests carry a width flag in their
+//!   `extra` field; widening casts sign/zero-extend through `NORM`;
+//! * floats (`F32`, `F64`) are **bit patterns** in the same file (`F32`
+//!   in the low word). Their arithmetic, compares and casts decode the
+//!   bits into the interpreter's scalar values and call its own helpers,
+//!   so float semantics exist exactly once.
 //!
-//! Bailing is an `Err(`[`Bail`]`)` from [`translate_fast`]; it is a
-//! *tiering* decision, never a semantic one. The VM keeps such functions
-//! on the JIT tier, which handles every type, and counts them by the
-//! bail's [`bail`] reason.
+//! Speculation guards lower to a compare plus a [`enc::GUARD`] branch
+//! whose fail edge deoptimizes the native frame into an interpreter frame
+//! at the slow block (see `lpat_vm::native`).
+//!
+//! What the translator still refuses is an `Err(`[`Bail`]`)` from
+//! [`translate_fast`]: varargs, encoding limits and malformed IR. It is a
+//! *tiering* decision, never a semantic one: the VM keeps such functions
+//! in the interpreter and counts them by the bail's [`bail`] reason.
 //!
 //! ## Register file
 //!
-//! 32 × `u32`. `r0` is hardwired zero; `r1`–`r3` are translator scratch
+//! 32 × `u64`. `r0` is hardwired zero; `r1`–`r3` are translator scratch
 //! (immediate materialisation, spill staging, φ-cycle breaking); `r4`–`r31`
 //! (28 registers) are allocatable homes. Homes are fixed for the lifetime
 //! of the function — the allocator is a single priority pass (static use
 //! count × 4^loop-depth), so the mapping InstId → home is a pure function
-//! of the IR. That is what makes on-stack replacement and frame conversion
-//! (`FrameMap`-style) trivial: converting an interpreter or JIT frame to a
-//! native frame is a table-driven copy, in either direction.
+//! of the IR. That is what makes on-stack replacement and deoptimization
+//! trivial: converting an interpreter frame to a native frame and back is
+//! one table-driven copy in each direction.
 //!
 //! ## Encoding
 //!
 //! Fixed 4-byte words in four formats (see [`enc`]); side tables carry the
 //! data a fixed-width word cannot (φ-edge copy lists, call descriptors,
-//! switch tables), exactly as real RISC binaries park jump tables and
-//! relocation records out of line. Accounting words ([`enc::ACCT`]) mark
-//! the start of each IR instruction's machine sequence with its opcode
-//! index; the emulator's decoder folds them into the next op so fuel
-//! metering and the opcode histogram stay *per IR instruction*, identical
-//! to the interpreter.
+//! switch and guard tables, 64-bit constants), exactly as real RISC
+//! binaries park jump tables, literal pools and relocation records out of
+//! line. Accounting words ([`enc::ACCT`]) mark the start of each IR
+//! instruction's machine sequence with its opcode index; the emulator's
+//! decoder folds them into the next op so fuel metering and the opcode
+//! histogram stay *per IR instruction*, identical to the interpreter.
 
 use lpat_core::{
     BinOp, BlockId, CmpPred, Const, FuncId, Function, Inst, InstId, IntKind, Module, Type, TypeId,
@@ -64,74 +69,79 @@ use lpat_core::{
 
 /// Static class of an SSA value in the native value model.
 ///
-/// Classes ≤ 32 bits are exact (register = low 32 bits of the canonical
-/// value = the whole value); `L64` is the low-word view of a 64-bit
-/// integer; floats have no class and force a bail-out.
+/// Classes ≤ 32 bits live in a register's low word; `S64`, `U64` and
+/// `F64` use all 64 bits; `F32` is its bit pattern in the low word.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Class {
     /// `bool`: register holds 0 or 1.
     Bool,
-    /// `sbyte`: register holds the 32-bit sign-extension of the value.
+    /// `sbyte`: low word holds the 32-bit sign-extension of the value.
     S8,
-    /// `ubyte`: register holds the zero-extension of the value.
+    /// `ubyte`: low word holds the zero-extension of the value.
     U8,
     /// `short`.
     S16,
     /// `ushort`.
     U16,
-    /// `int`: register is the value (two's complement).
+    /// `int`: low word is the value (two's complement).
     S32,
-    /// `uint`: register is the value.
+    /// `uint`: low word is the value.
     U32,
-    /// Any pointer: register is the 32-bit address.
+    /// Any pointer: low word is the 32-bit address.
     Ptr,
-    /// 64-bit integer, low-word view: register holds the low 32 bits
-    /// only. Admitted for operations whose result is determined by the
-    /// low word; everything else bails.
-    L64,
+    /// `long`: the register is the value.
+    S64,
+    /// `ulong`: the register is the value.
+    U64,
+    /// `float`: low word is the IEEE-754 bit pattern.
+    F32,
+    /// `double`: the register is the IEEE-754 bit pattern.
+    F64,
 }
 
 impl Class {
-    /// Stable numeric code used in instruction `extra` fields and tables.
+    /// Every class, in code order.
+    const ALL: [Class; 12] = [
+        Class::Bool,
+        Class::S8,
+        Class::U8,
+        Class::S16,
+        Class::U16,
+        Class::S32,
+        Class::U32,
+        Class::Ptr,
+        Class::S64,
+        Class::U64,
+        Class::F32,
+        Class::F64,
+    ];
+
+    /// Stable numeric code (4 bits) used in instruction `extra` fields
+    /// and tables.
     pub fn code(self) -> u16 {
-        match self {
-            Class::Bool => 0,
-            Class::S8 => 1,
-            Class::U8 => 2,
-            Class::S16 => 3,
-            Class::U16 => 4,
-            Class::S32 => 5,
-            Class::U32 => 6,
-            Class::Ptr => 7,
-            Class::L64 => 8,
-        }
+        self as u16
     }
 
     /// Inverse of [`Class::code`].
     pub fn from_code(c: u16) -> Option<Class> {
-        Some(match c {
-            0 => Class::Bool,
-            1 => Class::S8,
-            2 => Class::U8,
-            3 => Class::S16,
-            4 => Class::U16,
-            5 => Class::S32,
-            6 => Class::U32,
-            7 => Class::Ptr,
-            8 => Class::L64,
-            _ => return None,
-        })
+        Class::ALL.get(c as usize).copied()
     }
 
-    /// Class of an integer kind (both 64-bit kinds map to the `L64`
-    /// low-word view).
+    /// Class of an integer kind.
     pub fn of_kind(k: IntKind) -> Class {
-        classify_kind(k)
+        match k {
+            IntKind::S8 => Class::S8,
+            IntKind::U8 => Class::U8,
+            IntKind::S16 => Class::S16,
+            IntKind::U16 => Class::U16,
+            IntKind::S32 => Class::S32,
+            IntKind::U32 => Class::U32,
+            IntKind::S64 => Class::S64,
+            IntKind::U64 => Class::U64,
+        }
     }
 
-    /// The integer kind for integer classes (including `L64` → `S64`;
-    /// the emulator never reconstructs an `L64` scalar, it only needs the
-    /// kind for 8-byte memory accesses, where `S64`/`U64` are identical).
+    /// The integer kind of an integer class.
     pub fn int_kind(self) -> Option<IntKind> {
         Some(match self {
             Class::S8 => IntKind::S8,
@@ -140,73 +150,52 @@ impl Class {
             Class::U16 => IntKind::U16,
             Class::S32 => IntKind::S32,
             Class::U32 => IntKind::U32,
-            Class::L64 => IntKind::S64,
-            Class::Bool | Class::Ptr => return None,
-        })
-    }
-
-    /// Bit width for shift masking and renormalisation (≤ 32-bit ints).
-    fn bits(self) -> Option<u16> {
-        Some(match self {
-            Class::S8 | Class::U8 => 8,
-            Class::S16 | Class::U16 => 16,
-            Class::S32 | Class::U32 => 32,
+            Class::S64 => IntKind::S64,
+            Class::U64 => IntKind::U64,
             _ => return None,
         })
     }
 
+    /// Bit width of an integer class (shift masking, width flags).
+    fn bits(self) -> Option<u16> {
+        self.int_kind().map(|k| k.bits() as u16)
+    }
+
     fn is_signed_int(self) -> bool {
-        matches!(self, Class::S8 | Class::S16 | Class::S32)
+        matches!(self, Class::S8 | Class::S16 | Class::S32 | Class::S64)
     }
 
     fn is_narrow(self) -> bool {
         matches!(self, Class::S8 | Class::U8 | Class::S16 | Class::U16)
     }
 
-    /// Whether the register representation is the full canonical value
-    /// (everything except the `L64` low-word view).
-    pub fn is_exact(self) -> bool {
-        !matches!(self, Class::L64)
+    /// Whether the value occupies the whole 64-bit register.
+    pub fn is_wide(self) -> bool {
+        matches!(self, Class::S64 | Class::U64 | Class::F64)
+    }
+
+    /// Whether this is a float class.
+    pub fn is_float(self) -> bool {
+        matches!(self, Class::F32 | Class::F64)
     }
 }
 
-/// The closed set of reasons a translator gives up on a function. The
+/// The closed set of reasons the translator gives up on a function. The
 /// VM counts demotions per reason (`TierStats`), so the set stays small
 /// and fixed; the free-form detail travels in [`Bail::detail`].
 pub mod bail {
-    /// A float value or constant: the risc32 subset is an integer file.
-    pub const FLOAT: &str = "float";
-    /// A compare (or a test against zero) on a 64-bit integer.
-    pub const COMPARE64: &str = "compare64";
-    /// A 64-bit operation whose result needs the high word (shift,
-    /// division, remainder).
-    pub const OP64: &str = "op64";
-    /// A 64-bit value crossing a store, return, or call boundary.
-    pub const VALUE64: &str = "value64";
-    /// A speculation guard: deoptimization is the JIT tier's job.
-    pub const GUARD: &str = "guard";
     /// A varargs function or `vaarg`.
     pub const VARARGS: &str = "varargs";
-    /// A frame, edge, switch or call-site count past the encoding's
-    /// field widths.
+    /// A frame, edge, switch, guard, constant or call-site count past the
+    /// encoding's field widths.
     pub const ENCODING_LIMIT: &str = "encoding_limit";
-    /// An injected `jit.translate` / `native.translate` fault (set by the
-    /// VM, never by a translator).
+    /// An injected `native.translate` or `tier.deopt` fault (set by the
+    /// VM, never by the translator).
     pub const INJECTED_FAULT: &str = "injected_fault";
     /// Anything else (malformed or unsupported IR).
     pub const OTHER: &str = "other";
     /// Every reason, in reporting order.
-    pub const ALL: [&str; 9] = [
-        FLOAT,
-        COMPARE64,
-        OP64,
-        VALUE64,
-        GUARD,
-        VARARGS,
-        ENCODING_LIMIT,
-        INJECTED_FAULT,
-        OTHER,
-    ];
+    pub const ALL: [&str; 4] = [VARARGS, ENCODING_LIMIT, INJECTED_FAULT, OTHER];
 }
 
 /// Why a translation gave up: one [`bail`] reason plus the exact
@@ -249,22 +238,15 @@ impl From<String> for Bail {
 }
 
 /// Classify a type: `Ok(None)` for void (no value), `Ok(Some)` for a
-/// representable first-class type, `Err` when the type forces a bail-out.
+/// first-class type, `Err` for an aggregate used as a value.
 fn classify(m: &Module, t: TypeId) -> Result<Option<Class>, Bail> {
     Ok(Some(match m.types.ty(t) {
         Type::Void => return Ok(None),
         Type::Bool => Class::Bool,
-        Type::Int(k) => match k {
-            IntKind::S8 => Class::S8,
-            IntKind::U8 => Class::U8,
-            IntKind::S16 => Class::S16,
-            IntKind::U16 => Class::U16,
-            IntKind::S32 => Class::S32,
-            IntKind::U32 => Class::U32,
-            IntKind::S64 | IntKind::U64 => Class::L64,
-        },
+        Type::Int(k) => Class::of_kind(*k),
         Type::Ptr(_) => Class::Ptr,
-        Type::F32 | Type::F64 => return Err(Bail::new(bail::FLOAT, "float value")),
+        Type::F32 => Class::F32,
+        Type::F64 => Class::F64,
         other => return Err(format!("non-scalar value type {other:?}").into()),
     }))
 }
@@ -306,31 +288,47 @@ pub mod enc {
     pub const OR: u8 = 0x06;
     /// `rd = ra ^ rb`.
     pub const XOR: u8 = 0x07;
-    /// `rd = ra << (rb & (extra-1))`; `extra` = operand bit width.
+    /// `rd = ra << (rb & (extra-1))`; `extra` = operand bit width
+    /// (8, 16, 32 or 64).
     pub const SLL: u8 = 0x08;
-    /// Logical right shift, same masking.
+    /// Logical right shift, same masking; reads the low word unless
+    /// `extra` is 64.
     pub const SRL: u8 = 0x09;
-    /// Arithmetic right shift, same masking.
+    /// Arithmetic right shift, same masking and width.
     pub const SRA: u8 = 0x0A;
-    /// Signed division (traps DivByZero at run time).
+    /// Signed division (traps DivByZero at run time); `extra` = [`W64`]
+    /// for 64-bit operands, else 0 (low words).
     pub const DIVS: u8 = 0x0B;
-    /// Unsigned division.
+    /// Unsigned division, same width flag.
     pub const DIVU: u8 = 0x0C;
-    /// Signed remainder.
+    /// Signed remainder, same width flag.
     pub const REMS: u8 = 0x0D;
-    /// Unsigned remainder.
+    /// Unsigned remainder, same width flag.
     pub const REMU: u8 = 0x0E;
     /// `rd = ra <pred> rb`; `extra` bits 0–2 = predicate
-    /// (eq,ne,lt,gt,le,ge), bit 3 = unsigned compare.
+    /// (eq,ne,lt,gt,le,ge), bit 3 = unsigned compare, bit 4 = 64-bit
+    /// operands.
     pub const CMP: u8 = 0x0F;
-    /// `rd = (ra != 0)` — casts to bool.
+    /// `rd = (ra != 0)` — casts to bool; `extra` = [`W64`] tests all 64
+    /// bits, else the low word.
     pub const SETNZ: u8 = 0x10;
-    /// Renormalise `ra` to the narrow class in `extra` (sign/zero-extend
-    /// its low 8/16 bits over the register) — keeps narrow arithmetic
-    /// canonical. Charges nothing.
+    /// `rd` = the full 64-bit canonical value of `ra`'s low bits read as
+    /// the class in `extra` (sign/zero-extend from 8, 16 or 32 bits;
+    /// `Bool`/`Ptr` zero-extend). Renormalises narrow arithmetic and
+    /// widens to 64-bit integers.
     pub const NORM: u8 = 0x11;
     /// `rd = ra`.
     pub const MOV: u8 = 0x12;
+    /// Float arithmetic: `rd = ra <op> rb` through the interpreter's
+    /// scalar semantics; `extra` = `BinOp` index | float class code << 4.
+    pub const FBIN: u8 = 0x13;
+    /// Float compare: `rd = ra <pred> rb` (IEEE unordered rules);
+    /// `extra` = `CmpPred` index | float class code << 4.
+    pub const FCMP: u8 = 0x14;
+    /// Scalar conversion through the interpreter's cast semantics (every
+    /// cast to or from a float, and the casts it rejects); `extra` =
+    /// source class code | target class code << 4.
+    pub const CVT: u8 = 0x15;
     /// `rd = ra + simm14`.
     pub const ADDI: u8 = 0x18;
     /// `rd = simm14`.
@@ -343,13 +341,16 @@ pub mod enc {
     pub const LDS: u8 = 0x1C;
     /// `slots[uimm14] = ra` — spill store.
     pub const STS: u8 = 0x1D;
+    /// `rd = consts[uimm14]` — a 64-bit constant from the literal pool.
+    pub const LDK: u8 = 0x1E;
     /// Memory load: `rd = mem[ra]` at the class in `extra` (full access
-    /// checks; `L64` checks 8 bytes and keeps the low word).
+    /// checks).
     pub const LD: u8 = 0x20;
     /// Memory store: `mem[ra] = rb` at the class in `extra`.
     pub const ST: u8 = 0x21;
     /// Allocate: `rd = alloc(rb_elem_size × count(ra))`; `extra` bit 0 =
-    /// stack (alloca), bit 1 = count-is-one, bit 2 = count unsigned.
+    /// stack (alloca), bit 1 = count-is-one, bit 2 = count unsigned,
+    /// bit 3 = 64-bit count.
     pub const ALLOC: u8 = 0x22;
     /// Free the pointer in `ra`.
     pub const FREE: u8 = 0x23;
@@ -368,6 +369,13 @@ pub mod enc {
     pub const UNWIND: u8 = 0x2D;
     /// Unreachable-executed trap (format E).
     pub const UNREACHABLE: u8 = 0x2E;
+    /// Speculation guard on the bool in `ra`, guard table entry `uimm14`:
+    /// the engine records the outcome, then branches through the pass
+    /// edge, or through the fail edge and deoptimizes.
+    pub const GUARD: u8 = 0x2F;
+
+    /// Width flag in `extra` for 64-bit division, remainder and tests.
+    pub const W64: u16 = 64;
 
     /// Hardwired zero register.
     pub const R_ZERO: u8 = 0;
@@ -458,15 +466,15 @@ pub enum Home {
     Slot(u16),
 }
 
-/// A copy/argument source: a home or a pre-evaluated 32-bit immediate.
+/// A copy/argument source: a home or a pre-evaluated immediate.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Src {
     /// Read a register.
     Reg(u8),
     /// Read a frame slot.
     Slot(u16),
-    /// A constant's low 32 bits.
-    Imm(u32),
+    /// A constant's register image.
+    Imm(u64),
 }
 
 impl From<Home> for Src {
@@ -532,12 +540,26 @@ pub struct FastCall {
 /// Out-of-line switch table referenced by a [`enc::SWITCH`] word.
 #[derive(Clone, Debug)]
 pub struct FastSwitch {
-    /// `(case value low word, edge index)`, compared in order. Case
-    /// constants share the scrutinee's (≤ 32-bit) kind, so comparing low
-    /// words equals comparing canonical values.
-    pub cases: Vec<(u32, u32)>,
+    /// `(case value, edge index)`, compared in order. Case constants
+    /// share the scrutinee's kind; for ≤ 32-bit kinds both sides are
+    /// compared as low words, which equals comparing canonical values.
+    pub cases: Vec<(u64, u32)>,
     /// Default edge index.
     pub default: u32,
+    /// Whether the scrutinee is a 64-bit integer (compare whole
+    /// registers).
+    pub wide: bool,
+}
+
+/// Out-of-line guard descriptor referenced by a [`enc::GUARD`] word.
+#[derive(Clone, Debug)]
+pub struct FastGuard {
+    /// The speculation overlay's stable guard id.
+    pub gid: u32,
+    /// Edge index of the speculated fast path (the branch's `then`).
+    pub pass: u32,
+    /// Edge index of the slow path, where the frame deoptimizes.
+    pub fail: u32,
 }
 
 /// A translated function: the word buffer plus its side tables.
@@ -554,12 +576,16 @@ pub struct FastFunc {
     pub calls: Vec<FastCall>,
     /// Switch tables.
     pub switches: Vec<FastSwitch>,
+    /// Guard descriptors.
+    pub guards: Vec<FastGuard>,
+    /// 64-bit literal pool read by [`enc::LDK`].
+    pub consts: Vec<u64>,
     /// Number of frame spill slots.
     pub n_slots: u32,
     /// Home and class of each formal argument.
     pub arg_homes: Vec<(Home, Class)>,
     /// Home and class of each value-producing instruction, indexed by
-    /// `InstId` — the bidirectional frame-mapping table for OSR.
+    /// `InstId` — the frame-mapping table for OSR and deoptimization.
     pub homes: Vec<Option<(Home, Class)>>,
     /// Function name (diagnostics, trace spans).
     pub name: String,
@@ -572,9 +598,9 @@ pub struct FastEnv<'a> {
     pub func_addr: &'a dyn Fn(FuncId) -> u32,
     /// Address of a global by index, if the engine has laid it out.
     pub global_addr: &'a dyn Fn(usize) -> Option<u32>,
-    /// Whether a conditional branch carries a speculation guard — guarded
-    /// functions bail (deoptimisation is the JIT tier's job).
-    pub guarded: &'a dyn Fn(InstId) -> bool,
+    /// The guard id when a conditional branch carries a speculation
+    /// guard.
+    pub guard: &'a dyn Fn(InstId) -> Option<u32>,
 }
 
 // ----------------------------------------------------------------------
@@ -585,7 +611,7 @@ pub struct FastEnv<'a> {
 #[derive(Copy, Clone)]
 enum Opnd {
     Home(Home, Class),
-    Imm(u32, Class),
+    Imm(u64, Class),
 }
 
 impl Opnd {
@@ -611,6 +637,8 @@ struct Tr<'a> {
     edges: Vec<FastEdge>,
     calls: Vec<FastCall>,
     switches: Vec<FastSwitch>,
+    guards: Vec<FastGuard>,
+    consts: Vec<u64>,
     homes: Vec<Option<(Home, Class)>>,
     arg_homes: Vec<(Home, Class)>,
     n_slots: u32,
@@ -618,17 +646,17 @@ struct Tr<'a> {
 
 /// Translate one function to native words in a single forward pass.
 ///
-/// `Err` means "this function stays on the JIT tier" — unsupported types
-/// or operations, speculation guards, or encoding limits. The [`Bail`]
-/// names the first reason encountered.
+/// `Err` means "this function stays in the interpreter" — varargs,
+/// encoding limits or malformed IR. The [`Bail`] names the first reason
+/// encountered.
 pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc, Bail> {
     let f = m.func(fid);
     if f.is_declaration() {
         return Err("declaration has no body".into());
     }
     if f.is_varargs() {
-        // Native frames carry no vararg vector; `va_arg` callees stay on
-        // the JIT tier.
+        // Native frames carry no vararg vector; `va_arg` callees stay in
+        // the interpreter.
         return Err(Bail::new(bail::VARARGS, "varargs function"));
     }
 
@@ -738,6 +766,8 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         edges: Vec::new(),
         calls: Vec::new(),
         switches: Vec::new(),
+        guards: Vec::new(),
+        consts: Vec::new(),
         homes,
         arg_homes,
         n_slots: next_slot,
@@ -767,6 +797,8 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         edges: tr.edges,
         calls: tr.calls,
         switches: tr.switches,
+        guards: tr.guards,
+        consts: tr.consts,
         n_slots: tr.n_slots,
         arg_homes: tr.arg_homes,
         homes: tr.homes,
@@ -858,28 +890,39 @@ impl<'a> Tr<'a> {
 
     fn const_opnd(&mut self, c: lpat_core::ConstId) -> Result<Opnd, Bail> {
         Ok(match self.m.consts.get(c) {
-            Const::Bool(b) => Opnd::Imm(*b as u32, Class::Bool),
-            Const::Int { kind, value } => {
-                let class = classify_kind(*kind);
-                Opnd::Imm(*value as u32, class)
-            }
+            Const::Bool(b) => Opnd::Imm(*b as u64, Class::Bool),
+            Const::Int { kind, value } => Opnd::Imm(*value as u64, Class::of_kind(*kind)),
+            Const::F32(bits) => Opnd::Imm(*bits as u64, Class::F32),
+            Const::F64(bits) => Opnd::Imm(*bits, Class::F64),
             Const::Null(_) => Opnd::Imm(0, Class::Ptr),
             Const::Undef(t) | Const::Zero(t) => match classify(self.m, *t)? {
                 Some(cl) => Opnd::Imm(0, cl),
                 None => return Err("void constant".into()),
             },
-            Const::FuncAddr(f) => Opnd::Imm((self.env.func_addr)(*f), Class::Ptr),
+            Const::FuncAddr(f) => Opnd::Imm((self.env.func_addr)(*f) as u64, Class::Ptr),
             Const::GlobalAddr(g) => match (self.env.global_addr)(g.index()) {
-                Some(addr) => Opnd::Imm(addr, Class::Ptr),
+                Some(addr) => Opnd::Imm(addr as u64, Class::Ptr),
                 None => return Err("global address unavailable".into()),
             },
-            Const::F32(_) | Const::F64(_) => return Err(Bail::new(bail::FLOAT, "float constant")),
             other => return Err(format!("aggregate constant {other:?} as scalar").into()),
         })
     }
 
-    /// Materialise a 32-bit constant into `rd`.
-    fn load_imm(&mut self, rd: u8, k: u32) {
+    /// Materialise a constant of class `class` into `rd`. Low-word
+    /// classes take `LDI` or the `LUI`/`ORI` pair; a whole-register value
+    /// outside `LDI`'s sign-extended range comes from the literal pool.
+    fn load_imm(&mut self, rd: u8, k: u64, class: Class) -> Result<(), Bail> {
+        let small = (-(1 << 13)..(1 << 13)).contains(&(k as i64));
+        if class.is_wide() && !small {
+            let idx = self.consts.len() as u32;
+            if idx >= (1 << 14) {
+                return Err(Bail::new(bail::ENCODING_LIMIT, "literal pool full"));
+            }
+            self.consts.push(k);
+            self.word(enc::i(enc::LDK, rd, 0, idx));
+            return Ok(());
+        }
+        let k = k as u32;
         let v = k as i32;
         if (-(1 << 13)..(1 << 13)).contains(&v) {
             self.word(enc::i(enc::LDI, rd, 0, (v as u32) & 0x3FFF));
@@ -889,23 +932,24 @@ impl<'a> Tr<'a> {
                 self.word(enc::i(enc::ORI, rd, rd, k & 0x1FFF));
             }
         }
+        Ok(())
     }
 
     /// Bring an operand into a register, spilling through `scratch` when
     /// it lives in a slot or is a constant. Returns the register to read.
-    fn use_reg(&mut self, o: Opnd, scratch: u8) -> u8 {
-        match o {
+    fn use_reg(&mut self, o: Opnd, scratch: u8) -> Result<u8, Bail> {
+        Ok(match o {
             Opnd::Home(Home::Reg(r), _) => r,
             Opnd::Home(Home::Slot(s), _) => {
                 self.word(enc::i(enc::LDS, scratch, 0, s as u32));
                 scratch
             }
             Opnd::Imm(0, _) => enc::R_ZERO,
-            Opnd::Imm(k, _) => {
-                self.load_imm(scratch, k);
+            Opnd::Imm(k, class) => {
+                self.load_imm(scratch, k, class)?;
                 scratch
             }
-        }
+        })
     }
 
     /// Register to compute a destination into; the closer writes it back
@@ -978,19 +1022,29 @@ impl<'a> Tr<'a> {
                 then_bb,
                 else_bb,
             } => {
-                if (self.env.guarded)(iid) {
-                    return Err(Bail::new(bail::GUARD, "speculation guard"));
-                }
                 self.acct(inst);
                 let c = self.opnd(*cond)?;
                 if c.class() != Class::Bool {
                     return Err("condbr on non-bool".into());
                 }
-                let cr = self.use_reg(c, enc::R_S1);
+                let cr = self.use_reg(c, enc::R_S1)?;
                 let et = self.make_edge(b, *then_bb)?;
                 let ee = self.make_edge(b, *else_bb)?;
-                self.word(enc::i(enc::CBNZ, 0, cr, et));
-                self.word(enc::e(enc::BR, ee));
+                if let Some(gid) = (self.env.guard)(iid) {
+                    let gi = self.guards.len() as u32;
+                    if gi >= (1 << 14) {
+                        return Err(Bail::new(bail::ENCODING_LIMIT, "too many guards"));
+                    }
+                    self.guards.push(FastGuard {
+                        gid,
+                        pass: et,
+                        fail: ee,
+                    });
+                    self.word(enc::i(enc::GUARD, 0, cr, gi));
+                } else {
+                    self.word(enc::i(enc::CBNZ, 0, cr, et));
+                    self.word(enc::e(enc::BR, ee));
+                }
                 Ok(())
             }
             Inst::Switch {
@@ -1001,29 +1055,28 @@ impl<'a> Tr<'a> {
                 self.acct(inst);
                 let v = self.opnd(*val)?;
                 let vc = v.class();
-                if !matches!(
-                    vc,
-                    Class::S8 | Class::U8 | Class::S16 | Class::U16 | Class::S32 | Class::U32
-                ) {
-                    return Err(if vc == Class::L64 {
-                        Bail::new(bail::COMPARE64, "64-bit switch")
-                    } else {
-                        "switch scrutinee class".into()
-                    });
-                }
-                let vr = self.use_reg(v, enc::R_S1);
+                let Some(kind) = vc.int_kind() else {
+                    return Err("switch scrutinee class".into());
+                };
+                let vr = self.use_reg(v, enc::R_S1)?;
                 let mut tbl = FastSwitch {
                     cases: Vec::with_capacity(cases.len()),
                     default: self.make_edge(b, *default)?,
+                    wide: vc.is_wide(),
                 };
                 for &(c, t) in cases {
                     let Some((k, cv)) = self.m.consts.as_int(c) else {
                         return Err("non-integer switch case".into());
                     };
-                    if classify_kind(k) != vc {
+                    if k != kind {
                         return Err("switch case kind mismatch".into());
                     }
-                    tbl.cases.push((cv as u32, self.make_edge(b, t)?));
+                    let cv = if tbl.wide {
+                        cv as u64
+                    } else {
+                        cv as u32 as u64
+                    };
+                    tbl.cases.push((cv, self.make_edge(b, t)?));
                 }
                 let ti = self.switches.len() as u32;
                 if ti >= (1 << 14) {
@@ -1039,12 +1092,8 @@ impl<'a> Tr<'a> {
                     None => self.word(enc::i(enc::RET, 0, 0, 0)),
                     Some(v) => {
                         let o = self.opnd(*v)?;
-                        let c = o.class();
-                        if !c.is_exact() {
-                            return Err(Bail::new(bail::VALUE64, "64-bit return value"));
-                        }
-                        let r = self.use_reg(o, enc::R_S1);
-                        self.word(enc::i(enc::RET, 0, r, 1 | (c.code() as u32) << 1));
+                        let r = self.use_reg(o, enc::R_S1)?;
+                        self.word(enc::i(enc::RET, 0, r, 1 | (o.class().code() as u32) << 1));
                     }
                 }
                 Ok(())
@@ -1071,7 +1120,7 @@ impl<'a> Tr<'a> {
                 if p.class() != Class::Ptr {
                     return Err("load address class".into());
                 }
-                let pr = self.use_reg(p, enc::R_S1);
+                let pr = self.use_reg(p, enc::R_S1)?;
                 let Some((rd, spill)) = self.dst_reg(iid) else {
                     return Err("void load".into());
                 };
@@ -1082,15 +1131,12 @@ impl<'a> Tr<'a> {
             Inst::Store { val, ptr } => {
                 self.acct(inst);
                 let v = self.opnd(*val)?;
-                if !v.class().is_exact() {
-                    return Err(Bail::new(bail::VALUE64, "64-bit store"));
-                }
                 let p = self.opnd(*ptr)?;
                 if p.class() != Class::Ptr {
                     return Err("store address class".into());
                 }
-                let pr = self.use_reg(p, enc::R_S1);
-                let vr = self.use_reg(v, enc::R_S2);
+                let pr = self.use_reg(p, enc::R_S1)?;
+                let vr = self.use_reg(v, enc::R_S2)?;
                 self.word(enc::r(enc::ST, 0, pr, vr, v.class().code()));
                 Ok(())
             }
@@ -1118,6 +1164,7 @@ impl<'a> Tr<'a> {
                         let c = self.opnd(*cv)?;
                         match c.class() {
                             Class::U32 => extra |= 4,
+                            Class::S64 | Class::U64 => extra |= 8,
                             Class::Bool
                             | Class::S8
                             | Class::U8
@@ -1126,10 +1173,10 @@ impl<'a> Tr<'a> {
                             | Class::S32 => {}
                             _ => return Err("allocation count class".into()),
                         }
-                        self.use_reg(c, enc::R_S1)
+                        self.use_reg(c, enc::R_S1)?
                     }
                 };
-                self.load_imm(enc::R_S2, elem32);
+                self.load_imm(enc::R_S2, elem32 as u64, Class::U32)?;
                 let Some((rd, spill)) = self.dst_reg(iid) else {
                     return Err("void allocation".into());
                 };
@@ -1143,7 +1190,7 @@ impl<'a> Tr<'a> {
                 if o.class() != Class::Ptr {
                     return Err("free of non-pointer".into());
                 }
-                let r = self.use_reg(o, enc::R_S1);
+                let r = self.use_reg(o, enc::R_S1)?;
                 self.word(enc::r(enc::FREE, 0, r, 0, 0));
                 Ok(())
             }
@@ -1178,30 +1225,27 @@ impl<'a> Tr<'a> {
         if l.class() != class || r.class() != class {
             return Err("bin operand class mismatch".into());
         }
-        // Which ops are sound for this class?
         match class {
             Class::Bool if !matches!(op, BinOp::And | BinOp::Or | BinOp::Xor) => {
                 return Err("arith on bool".into());
-            }
-            // Only the low-word-determined subset.
-            Class::L64
-                if !matches!(
-                    op,
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
-                ) =>
-            {
-                return Err(Bail::new(bail::OP64, "64-bit op needs full width"));
             }
             Class::Ptr => return Err("arith on pointer".into()),
             _ => {}
         }
         self.acct(inst);
-        let la = self.use_reg(l, enc::R_S1);
-        let rb = self.use_reg(r, enc::R_S2);
+        let la = self.use_reg(l, enc::R_S1)?;
+        let rb = self.use_reg(r, enc::R_S2)?;
         let Some((rd, spill)) = self.dst_reg(iid) else {
             return Err("void bin".into());
         };
+        if class.is_float() {
+            let extra = op as u16 | class.code() << 4;
+            self.word(enc::r(enc::FBIN, rd, la, rb, extra));
+            self.dst_done(spill);
+            return Ok(());
+        }
         let bits = class.bits().unwrap_or(32);
+        let w64 = if bits == 64 { enc::W64 } else { 0 };
         let signed = class.is_signed_int();
         let (word_op, extra, renorm) = match op {
             BinOp::Add => (enc::ADD, 0, true),
@@ -1213,10 +1257,10 @@ impl<'a> Tr<'a> {
             BinOp::Shl => (enc::SLL, bits, true),
             BinOp::Shr if signed => (enc::SRA, bits, true),
             BinOp::Shr => (enc::SRL, bits, false),
-            BinOp::Div if signed => (enc::DIVS, 0, true),
-            BinOp::Div => (enc::DIVU, 0, false),
-            BinOp::Rem if signed => (enc::REMS, 0, true),
-            BinOp::Rem => (enc::REMU, 0, false),
+            BinOp::Div if signed => (enc::DIVS, w64, true),
+            BinOp::Div => (enc::DIVU, w64, false),
+            BinOp::Rem if signed => (enc::REMS, w64, true),
+            BinOp::Rem => (enc::REMU, w64, false),
         };
         self.word(enc::r(word_op, rd, la, rb, extra));
         if renorm {
@@ -1240,34 +1284,23 @@ impl<'a> Tr<'a> {
         if r.class() != c {
             return Err("cmp operand class mismatch".into());
         }
-        if !c.is_exact() {
-            return Err(Bail::new(bail::COMPARE64, "64-bit compare"));
-        }
-        // Canonical ≤32-bit values order exactly like their 32-bit
-        // representations under the matching signedness; pointers and
-        // bools compare unsigned.
-        let unsigned = !c.is_signed_int();
         self.acct(inst);
-        let la = self.use_reg(l, enc::R_S1);
-        let rb = self.use_reg(r, enc::R_S2);
+        let la = self.use_reg(l, enc::R_S1)?;
+        let rb = self.use_reg(r, enc::R_S2)?;
         let Some((rd, spill)) = self.dst_reg(iid) else {
             return Err("void cmp".into());
         };
-        let pcode = match pred {
-            CmpPred::Eq => 0u16,
-            CmpPred::Ne => 1,
-            CmpPred::Lt => 2,
-            CmpPred::Gt => 3,
-            CmpPred::Le => 4,
-            CmpPred::Ge => 5,
+        let word = if c.is_float() {
+            enc::r(enc::FCMP, rd, la, rb, pred as u16 | c.code() << 4)
+        } else {
+            // Canonical values order exactly like their register images
+            // under the matching signedness and width; pointers and bools
+            // compare unsigned.
+            let unsigned = if c.is_signed_int() { 0 } else { 8 };
+            let wide = if c.is_wide() { 16 } else { 0 };
+            enc::r(enc::CMP, rd, la, rb, pred as u16 | unsigned | wide)
         };
-        self.word(enc::r(
-            enc::CMP,
-            rd,
-            la,
-            rb,
-            pcode | if unsigned { 8 } else { 0 },
-        ));
+        self.word(word);
         self.dst_done(spill);
         Ok(())
     }
@@ -1279,31 +1312,37 @@ impl<'a> Tr<'a> {
         let v = self.opnd(val)?;
         let fc = v.class();
         self.acct(inst);
+        let r = self.use_reg(v, enc::R_S1)?;
         let Some((rd, spill)) = self.dst_reg(iid) else {
             return Err("void cast".into());
         };
-        match tc {
-            Class::Bool => {
-                // != 0 test; sound for every exact class. A 64-bit source
-                // needs all 64 bits.
-                if !fc.is_exact() {
-                    return Err(Bail::new(bail::COMPARE64, "64-bit to bool"));
-                }
-                let r = self.use_reg(v, enc::R_S1);
-                self.word(enc::r(enc::SETNZ, rd, r, 0, 0));
+        let word = match tc {
+            // Floats, and the casts the interpreter rejects, go through
+            // its own cast semantics.
+            _ if fc.is_float() || tc.is_float() || (fc, tc) == (Class::Bool, Class::Ptr) => {
+                enc::r(enc::CVT, rd, r, 0, fc.code() | tc.code() << 4)
             }
-            Class::Ptr | Class::L64 | Class::S32 | Class::U32 => {
-                // Low 32 bits carried over unchanged: int→ptr truncates,
-                // ptr→int zero-extends, widening sign/zero-extends — in
-                // every case the canonical low word is the register.
-                let r = self.use_reg(v, enc::R_S1);
-                self.word(enc::r(enc::MOV, rd, r, 0, 0));
-            }
+            // `!= 0` over the source's width.
+            Class::Bool => enc::r(
+                enc::SETNZ,
+                rd,
+                r,
+                0,
+                if fc.is_wide() { enc::W64 } else { 0 },
+            ),
+            // Low word carried over unchanged: int→ptr truncates,
+            // ptr→int zero-extends, 64→32 truncates — in every case the
+            // canonical low word is the source's low word.
+            Class::Ptr | Class::S32 | Class::U32 => enc::r(enc::MOV, rd, r, 0, 0),
             Class::S8 | Class::U8 | Class::S16 | Class::U16 => {
-                let r = self.use_reg(v, enc::R_S1);
-                self.word(enc::r(enc::NORM, rd, r, 0, tc.code()));
+                enc::r(enc::NORM, rd, r, 0, tc.code())
             }
-        }
+            // Widening: the source's canonical 64-bit value is already the
+            // target's (S64 and U64 share bit patterns).
+            _ if fc.is_wide() => enc::r(enc::MOV, rd, r, 0, 0),
+            _ => enc::r(enc::NORM, rd, r, 0, fc.code()),
+        };
+        self.word(word);
         self.dst_done(spill);
         Ok(())
     }
@@ -1321,10 +1360,9 @@ impl<'a> Tr<'a> {
         if base.class() != Class::Ptr {
             return Err("gep base class".into());
         }
-        // Same walk as the JIT's compile_gep: fold constant indices into
-        // a static offset, keep `(value, scale)` pairs for the rest. Only
-        // the low 32 bits of the offset are observable, so 64-bit index
-        // values participate via their low-word view.
+        // Fold constant indices into a static offset, keep `(value,
+        // scale)` pairs for the rest. Only the low 32 bits of the offset
+        // are observable, so every index contributes through its low word.
         let mut cur = tys
             .pointee(self.m.value_type(self.f, ptr))
             .ok_or("gep base not a pointer")?;
@@ -1364,22 +1402,12 @@ impl<'a> Tr<'a> {
             }
         }
         for (o, _) in &scaled {
-            if !matches!(
-                o.class(),
-                Class::Bool
-                    | Class::S8
-                    | Class::U8
-                    | Class::S16
-                    | Class::U16
-                    | Class::S32
-                    | Class::U32
-                    | Class::L64
-            ) {
+            if o.class() != Class::Bool && o.class().int_kind().is_none() {
                 return Err("gep index class".into());
             }
         }
         self.acct(inst);
-        let br = self.use_reg(base, enc::R_S1);
+        let br = self.use_reg(base, enc::R_S1)?;
         let Some((rd, spill)) = self.dst_reg(iid) else {
             return Err("void gep".into());
         };
@@ -1393,12 +1421,12 @@ impl<'a> Tr<'a> {
         } else if (-(1 << 13)..(1 << 13)).contains(&(off as i32)) {
             self.word(enc::i(enc::ADDI, rd, br, off & 0x3FFF));
         } else {
-            self.load_imm(enc::R_S2, off);
+            self.load_imm(enc::R_S2, off as u64, Class::U32)?;
             self.word(enc::r(enc::ADD, rd, br, enc::R_S2, 0));
         }
         for (o, scale) in scaled {
-            let ir = self.use_reg(o, enc::R_S1);
-            self.load_imm(enc::R_S2, scale as u32);
+            let ir = self.use_reg(o, enc::R_S1)?;
+            self.load_imm(enc::R_S2, scale as u32 as u64, Class::U32)?;
             self.word(enc::r(enc::MADD, rd, ir, enc::R_S2, 0));
         }
         self.dst_done(spill);
@@ -1431,17 +1459,7 @@ impl<'a> Tr<'a> {
         let mut argv = Vec::with_capacity(args.len());
         for &a in args {
             let o = self.opnd(a)?;
-            if !o.class().is_exact() {
-                return Err(Bail::new(bail::VALUE64, "64-bit call argument"));
-            }
             argv.push((o.src(), o.class()));
-        }
-        let dst = self.homes[iid.index()];
-        if let Some((_, c)) = dst {
-            if !c.is_exact() {
-                // The callee's 64-bit result would reach us truncated.
-                return Err(Bail::new(bail::VALUE64, "64-bit call result"));
-            }
         }
         self.acct(inst);
         let di = self.calls.len() as u32;
@@ -1451,24 +1469,12 @@ impl<'a> Tr<'a> {
         self.calls.push(FastCall {
             callee,
             args: argv,
-            dst,
+            dst: self.homes[iid.index()],
             eh,
             site: iid.index() as u32,
         });
         self.word(enc::e(enc::CALLD, di));
         Ok(())
-    }
-}
-
-fn classify_kind(k: IntKind) -> Class {
-    match k {
-        IntKind::S8 => Class::S8,
-        IntKind::U8 => Class::U8,
-        IntKind::S16 => Class::S16,
-        IntKind::U16 => Class::U16,
-        IntKind::S32 => Class::S32,
-        IntKind::U32 => Class::U32,
-        IntKind::S64 | IntKind::U64 => Class::L64,
     }
 }
 

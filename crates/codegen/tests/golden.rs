@@ -25,7 +25,7 @@ fn translate(src: &str, name: &str) -> FastFunc {
     let env = FastEnv {
         func_addr: &|f| 0x1000 + (f.index() as u32) * 16,
         global_addr: &|i| Some(0x2000 + (i as u32) * 64),
-        guarded: &|_| false,
+        guard: &|_| None,
     };
     translate_fast(&m, fid, &env).unwrap_or_else(|e| panic!("{name}: {e}"))
 }

@@ -21,10 +21,9 @@
 //!   `inline`, ...); additional named sites exist in the bytecode reader
 //!   (`bytecode.read`), the profile-guided reoptimizer (`pgo-inline`),
 //!   the lifelong store (`store.read`, `store.write`, `store.lock`), the
-//!   tier engine (`jit.translate` — fail a function's translation;
-//!   `native.translate` — fail the single-pass machine-code backend,
-//!   permanently demoting the function to the JIT tier; `tier.deopt` —
-//!   panic during deopt frame reconstruction, demoting
+//!   tier engine (`native.translate` — fail the single-pass machine-code
+//!   backend, permanently demoting the function to the interpreter;
+//!   `tier.deopt` — panic during deopt frame reconstruction, demoting
 //!   the function), speculation (`spec.guard` — force a guard check
 //!   to fail; `delay` sleeps and then honors the real condition), the
 //!   `lpatd` daemon (`serve.accept`, `serve.decode`, `serve.worker`,

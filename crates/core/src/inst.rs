@@ -615,8 +615,8 @@ impl Inst {
     ///
     /// `br` and conditional `br` share one slot (they share a mnemonic);
     /// every [`BinOp`] and [`CmpPred`] gets its own slot. The interpreter
-    /// and JIT use this to count executed instructions per opcode with a
-    /// plain array instead of a hash map.
+    /// and machine code use this to count executed instructions per
+    /// opcode with a plain array instead of a hash map.
     pub fn opcode_index(&self) -> usize {
         match self {
             Inst::Ret(_) => 0,

@@ -1,10 +1,10 @@
 //! Unified tracing and metrics (observability spine).
 //!
-//! Every subsystem — pass manager, interpreter, JIT, heap, PGO, and the
-//! lifelong store — records into this one module: RAII **spans** (timed
-//! regions), **instant events** (point-in-time facts such as traps or
-//! quarantines), and named **counters** (monotonic sums such as cache hits
-//! or per-opcode execution counts). Recordings land in per-thread ring
+//! Every subsystem — pass manager, interpreter, machine code, heap, PGO,
+//! and the lifelong store — records into this one module: RAII **spans**
+//! (timed regions), **instant events** (point-in-time facts such as traps
+//! or quarantines), and named **counters** (monotonic sums such as cache
+//! hits or per-opcode execution counts). Recordings land in per-thread ring
 //! buffers and are exported as Chrome trace-event JSON (loadable in
 //! Perfetto / `chrome://tracing`) plus a machine-readable metrics summary.
 //!
@@ -101,7 +101,7 @@ pub enum EventKind {
 pub struct TraceEvent {
     /// Deterministic sort key; see the module docs.
     pub ordinal: u64,
-    /// Subsystem category (`"pass"`, `"vm"`, `"jit"`, `"heap"`, `"pgo"`,
+    /// Subsystem category (`"pass"`, `"vm"`, `"native"`, `"heap"`, `"pgo"`,
     /// `"store"`, ...).
     pub cat: &'static str,
     /// Event name (pass name, opcode, file stem, ...).

@@ -17,12 +17,12 @@
 //!   argument folded in, entered through `if (arg == C)` at the top.
 //!
 //! Guards are ordinary IR — a `seteq` compare plus a conditional branch —
-//! so the verifier, the interpreter, and the JIT all handle them with no
-//! new opcode. What makes them *guards* is the [`SpecMap`] overlay: each
-//! carries a stable numeric id under which the engine counts executions
-//! and failures ([misspeculations]) into the lifetime profile, and at
-//! which the tiered engine deoptimizes a JIT frame back to the
-//! interpreter. The map is ephemeral: it is re-derived deterministically
+//! so the verifier, the interpreter, and the machine-code backend all
+//! handle them with no new IR opcode. What makes them *guards* is the
+//! [`SpecMap`] overlay: each carries a stable numeric id under which the
+//! engine counts executions and failures ([misspeculations]) into the
+//! lifetime profile, and at which the tiered engine deoptimizes a native
+//! frame back to the interpreter. The map is ephemeral: it is re-derived deterministically
 //! from `(module, profile, options)` on every run and never persisted, so
 //! the stored module stays unspeculated and the profile stays attributed
 //! to it.

@@ -80,18 +80,11 @@ pub struct VmOptions {
     /// policy bound, not a host constraint).
     pub max_stack: usize,
     /// Tier-up threshold for [`Vm::run_main_tiered`]: a function is
-    /// promoted from the profiling interpreter to the translated (JIT)
-    /// tier once its hotness counter — calls plus loop back-edges —
+    /// promoted from the profiling interpreter to single-pass machine
+    /// code once its hotness counter — calls plus loop back-edges —
     /// *exceeds* this value. `0` promotes every function on first call;
     /// a very large value never promotes (pure interpretation).
     pub tier_up: u64,
-    /// Native (tier-3) promotion threshold for [`Vm::run_main_tiered`]:
-    /// once a JIT-tier function's hotness counter, restarted at JIT
-    /// promotion, exceeds this value it is promoted again, to
-    /// single-pass machine code. `0` promotes every JIT-tier function
-    /// immediately; a very large value (`u64::MAX`) never promotes, which
-    /// pins hot code on the JIT tier.
-    pub native_up: u64,
 }
 
 impl Default for VmOptions {
@@ -103,15 +96,13 @@ impl Default for VmOptions {
             input: VecDeque::new(),
             max_stack: 10_000,
             tier_up: 50,
-            native_up: 50,
         }
     }
 }
 
 /// Speculation statistics: how the guards emitted by the speculative
 /// optimizer behaved at run time. Engine-independent — the interpreter
-/// and the tiered engine's JIT tier record through the same
-/// [`Vm::guard_check`] path (guarded functions never go native).
+/// and machine code record through the same [`Vm::guard_check`] path.
 #[derive(Clone, Debug, Default)]
 pub struct SpecStats {
     /// Guards the speculation pass emitted into the executing module.
@@ -122,8 +113,8 @@ pub struct SpecStats {
     pub passed: u64,
     /// Guard executions that failed (misspeculation).
     pub failed: u64,
-    /// Deoptimizations: guard failures under the tiered engine that
-    /// rebuilt an interpreter frame from the translated one.
+    /// Deoptimizations: guard failures in machine code that rebuilt an
+    /// interpreter frame from the native one.
     pub deopts: u64,
 }
 
@@ -185,23 +176,15 @@ pub struct Vm<'m> {
     /// means the module carries no speculation.
     spec: Option<std::rc::Rc<lpat_transform::SpecMap>>,
     global_addrs: Vec<u32>,
-    /// JIT translation cache, dense over `FuncId` (translated on first
-    /// call or promotion, reused across `run_*` invocations).
-    pub(crate) jit_cache: Vec<Option<std::rc::Rc<crate::jit::LowFunc>>>,
-    /// Native (tier-3) translation cache, dense over `FuncId`.
+    /// Native translation cache, dense over `FuncId` (translated on
+    /// promotion, reused across `run_*` invocations).
     pub(crate) native_cache: Vec<Option<std::rc::Rc<crate::native::NatCode>>>,
-    /// Free-list arena of native spill-slot slabs (see `jit_reg_pool`).
-    pub(crate) native_slot_pool: Vec<Vec<u32>>,
     /// Per-function tier state, dense over `FuncId`.
     pub(crate) tier: Vec<crate::tier::TierCell>,
-    /// Free-list arenas of register slabs, recycled across frames so the
-    /// hot call path does not allocate.
-    pub(crate) jit_reg_pool: Vec<Vec<VmValue>>,
+    /// Free-list arenas of interpreter and native register slabs,
+    /// recycled across frames so the hot call path does not allocate.
     pub(crate) interp_reg_pool: Vec<Vec<Option<VmValue>>>,
-    /// A JIT back-edge just promoted its function to native: the block
-    /// to enter machine code at, consumed by the dispatch loop at the
-    /// next boundary check and dropped on any other control transfer.
-    pub(crate) pending_native_osr: Option<u32>,
+    pub(crate) native_reg_pool: Vec<Vec<u64>>,
 }
 
 impl<'m> Vm<'m> {
@@ -238,13 +221,10 @@ impl<'m> Vm<'m> {
             spec_stats: SpecStats::default(),
             spec: None,
             global_addrs,
-            jit_cache: vec![None; m.num_funcs()],
             native_cache: vec![None; m.num_funcs()],
-            native_slot_pool: Vec::new(),
             tier: vec![crate::tier::TierCell::Cold(0); m.num_funcs()],
-            jit_reg_pool: Vec::new(),
             interp_reg_pool: Vec::new(),
-            pending_native_osr: None,
+            native_reg_pool: Vec::new(),
         };
         for (gid, g) in m.globals() {
             if let Some(init) = g.init {
@@ -268,7 +248,7 @@ impl<'m> Vm<'m> {
     /// Install a speculation overlay: the guard map produced by
     /// `lpat_transform::speculate` for *this engine's module*, plus the
     /// plan's emitted/retracted counts for `--stats`. Must be called
-    /// before execution (guards lower differently in translated code,
+    /// before execution (guards lower to `GUARD` ops in machine code,
     /// and translations are cached).
     pub fn install_speculation(
         &mut self,
@@ -291,7 +271,7 @@ impl<'m> Vm<'m> {
     /// force the fail side (modeling 100% misspeculation) without
     /// touching the condition's dataflow value, so forced failures stay
     /// observationally equivalent across engines. Shared by the
-    /// interpreter and the JIT so counters and the persisted guard
+    /// interpreter and machine code so counters and the persisted guard
     /// profile are engine-independent.
     pub(crate) fn guard_check(&mut self, gid: u32, actual: bool) -> bool {
         let pass = match lpat_core::faultpoint!("spec.guard") {
@@ -311,15 +291,6 @@ impl<'m> Vm<'m> {
             self.profile.record_guard(gid, !pass);
         }
         pass
-    }
-
-    /// Dispatch an external call (shared with the JIT engine).
-    pub(crate) fn call_external_by_id(
-        &mut self,
-        f: FuncId,
-        args: &[VmValue],
-    ) -> Result<Option<VmValue>, ExecError> {
-        self.call_external(f, args)
     }
 
     /// Serialize a constant of type `ty` into memory at `addr`.
@@ -585,7 +556,6 @@ impl<'m> Vm<'m> {
         let t = &mut self.tier_stats;
         *match tier {
             Tier::Interp => &mut t.interp_insts,
-            Tier::Jit => &mut t.jit_insts,
             Tier::Native => &mut t.native_insts,
         } += 1;
         self.opcode_counts[opidx] += 1;
@@ -826,7 +796,7 @@ impl<'m> Vm<'m> {
             }
             Inst::Cast { val, to } => {
                 let v = ev!(*val);
-                setreg!(exec_cast(&self.m.types, v, *to)?);
+                setreg!(cast_to(v, self.m.types.ty(*to))?);
                 Ok(StepResult::Continue)
             }
             Inst::Malloc { elem_ty, count } | Inst::Alloca { elem_ty, count } => {
@@ -1051,12 +1021,7 @@ impl<'m> Vm<'m> {
         trace::counter("vm.tier.demotions", t.demoted);
         trace::counter("vm.tier.warm", t.warmed);
         trace::counter("vm.tier.osr", t.osr);
-        trace::counter("vm.tier.translated", t.translated);
         trace::counter("vm.tier.interp_insts", t.interp_insts);
-        trace::counter("vm.tier.jit_insts", t.jit_insts);
-        trace::counter("vm.tier.native.promotions", t.native_promoted);
-        trace::counter("vm.tier.native.demotions", t.native_demoted);
-        trace::counter("vm.tier.native.osr", t.native_osr);
         trace::counter("vm.tier.native.translated", t.native_translated);
         trace::counter("vm.tier.native.insts", t.native_insts);
         // Speculation counters are exported unconditionally (all zero
@@ -1075,8 +1040,12 @@ impl<'m> Vm<'m> {
     }
 
     /// Dispatch a call to an external declaration (the VM's tiny runtime
-    /// library: I/O and process control).
-    fn call_external(&mut self, f: FuncId, args: &[VmValue]) -> Result<Option<VmValue>, ExecError> {
+    /// library: I/O and process control). Shared with machine code.
+    pub(crate) fn call_external(
+        &mut self,
+        f: FuncId,
+        args: &[VmValue],
+    ) -> Result<Option<VmValue>, ExecError> {
         use std::fmt::Write;
         let name = self.m.func(f).name.clone();
         let geti = |i: usize| -> i64 { args.get(i).and_then(|v| v.as_i64()).unwrap_or(0) };
@@ -1245,12 +1214,10 @@ pub(crate) fn exec_cmp(pred: CmpPred, a: VmValue, b: VmValue) -> Result<bool, Ex
     })
 }
 
-pub(crate) fn exec_cast(
-    tc: &lpat_core::TypeCtx,
-    v: VmValue,
-    to: TypeId,
-) -> Result<VmValue, ExecError> {
-    let tt = tc.ty(to).clone();
+/// Cast a scalar to the first-class type `tt` (shared with machine
+/// code).
+pub(crate) fn cast_to(v: VmValue, tt: &Type) -> Result<VmValue, ExecError> {
+    let tt = tt.clone();
     Ok(match (v, tt) {
         (VmValue::Int { v, .. }, Type::Int(k)) => VmValue::int(k, v),
         (VmValue::Int { kind, v }, Type::F32) => {

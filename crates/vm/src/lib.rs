@@ -25,7 +25,6 @@
 
 pub mod error;
 pub mod interp;
-pub mod jit;
 pub mod mem;
 pub mod native;
 pub mod pgo;
@@ -567,10 +566,9 @@ e:
         m.verify().unwrap();
         let mut vm = Vm::new(&m, VmOptions::default()).unwrap();
         assert_eq!(vm.run_main().unwrap(), 49);
-        // And identically with every function on the JIT tier.
+        // And identically with every function in machine code.
         let opts = VmOptions {
             tier_up: 0,
-            native_up: u64::MAX,
             ..VmOptions::default()
         };
         let mut vm2 = Vm::new(&m, opts).unwrap();

@@ -1,10 +1,10 @@
-//! # Tier-3 native execution: a fuel-metered risc32 machine-code emulator
+//! # The translated tier: a fuel-metered risc32 machine-code emulator
 //!
 //! Runs the binary words produced by `lpat_codegen::fast` (see that
 //! module for the value model and encoding). The words are **decoded
 //! once** at translation time into a dense op array — the standard
-//! pre-decoded-dispatch technique — so the hot loop is a flat `u32`
-//! register file, a `match` on an op byte, and wrapping 32-bit
+//! pre-decoded-dispatch technique — so the hot loop is a flat `u64`
+//! register file, a `match` on an op byte, and wrapping integer
 //! arithmetic: no tagged values, no `Option`, no per-operand enum walk.
 //!
 //! ## Exact observational parity
@@ -20,24 +20,27 @@
 //!   interpreter and each IR instruction is charged exactly once;
 //! * **memory traps** — loads/stores go through the same [`Memory`]
 //!   access checks (NullAccess / BadAccess / OutOfMemory), at the same
-//!   width (an `L64` load checks all 8 bytes before keeping the low
-//!   word);
+//!   width;
 //! * **arithmetic traps** — division/remainder by zero trap with the
-//!   interpreter's messages; signed 32-bit wrapping matches canonical
-//!   `i64` arithmetic bit-for-bit for every exact class;
+//!   interpreter's messages; wrapping 32- and 64-bit arithmetic matches
+//!   canonical `i64` arithmetic bit-for-bit for every integer class;
+//! * **floats** — arithmetic, compares and casts decode the register bits
+//!   into scalars and call the interpreter's own helpers
+//!   ([`crate::interp::exec_bin`], [`crate::interp::exec_cmp`],
+//!   [`crate::interp::cast_to`]);
 //! * **calls / unwinding** — call boundaries rebuild real `VmValue`
 //!   scalars from class-tagged registers, so externals, profile
-//!   counters, invoke edges and unwinding behave identically.
-//!
-//! Values whose class the native model cannot carry exactly never cross
-//! a boundary: `translate_fast` bails the whole function and the tier
-//! ladder leaves it on the JIT tier (see `tier.rs`).
+//!   counters, invoke edges and unwinding behave identically;
+//! * **guards** — a `GUARD` op records its outcome through
+//!   [`Vm::guard_check`], like the interpreter; a failing guard takes the
+//!   slow edge and reports [`Flow::Deopt`], and the tier ladder rebuilds
+//!   an interpreter frame from the home table ([`NatFrame::interp_regs`]).
 //!
 //! ## Boundary fallbacks
 //!
 //! A native frame is only built when every actual argument matches the
-//! declared parameter class ([`make_native_frame`] returns `None`
-//! otherwise and the caller falls back to the JIT tier, which handles
+//! declared parameter class ([`Vm::make_native_frame`] returns `None`
+//! otherwise and the caller interprets that activation, which handles
 //! any value). The one boundary with no fallback is a *returned* value
 //! of the wrong kind reaching a waiting native frame — possible only in
 //! unverified, type-confused modules — which traps as `Invalid` rather
@@ -48,14 +51,13 @@ use std::rc::Rc;
 
 use lpat_codegen::fast::{
     bail, enc, translate_fast, Bail, Class, FastCall, FastCallee, FastCopy, FastEnv, FastFunc,
-    FastSwitch, Home, Src,
+    FastGuard, FastSwitch, Home, Src,
 };
 use lpat_core::trace;
-use lpat_core::{BlockId, FuncId, InstId, IntKind};
+use lpat_core::{BinOp, BlockId, CmpPred, FuncId, InstId, Type, TypeId};
 
 use crate::error::{ExecError, TrapKind};
 use crate::interp::{Frame, Vm};
-use crate::jit::{Flow, JitFrame};
 use crate::mem::Memory;
 use crate::tier::Tier;
 use crate::value::VmValue;
@@ -65,8 +67,9 @@ use crate::value::VmValue;
 // ----------------------------------------------------------------------
 
 /// One pre-decoded op. `imm` is pre-massaged per op (sign-extended for
-/// `ADDI`, shifted for `LUI`, raw index otherwise); `acct` is the IR
-/// opcode index + 1 to charge before executing, 0 for none.
+/// `ADDI`/`LDI`, shifted for `LUI`, the pool entry for `LDK`, raw index
+/// otherwise); `acct` is the IR opcode index + 1 to charge before
+/// executing, 0 for none.
 #[derive(Copy, Clone)]
 struct NOp {
     op: u8,
@@ -75,7 +78,7 @@ struct NOp {
     c: u8,
     extra: u16,
     acct: u16,
-    imm: u32,
+    imm: u64,
 }
 
 /// A decoded edge: φ-copies (already sequentialised by the encoder) and
@@ -94,7 +97,7 @@ struct NatCall {
 }
 
 /// A function's decoded native code plus the home tables that make frame
-/// conversion (entry, OSR) a table-driven copy.
+/// conversion (entry, OSR, deoptimization) a table-driven copy.
 pub(crate) struct NatCode {
     ops: Vec<NOp>,
     /// Decoded-op index of each block start (the OSR entry points).
@@ -102,14 +105,16 @@ pub(crate) struct NatCode {
     edges: Vec<NatEdge>,
     calls: Vec<NatCall>,
     switches: Vec<FastSwitch>,
+    guards: Vec<FastGuard>,
     n_slots: u32,
     arg_homes: Vec<(Home, Class)>,
     homes: Vec<Option<(Home, Class)>>,
 }
 
 /// Decode the word buffer into the dense dispatch form. Accounting words
-/// disappear into the following op's `acct` tag; branch targets are
-/// remapped from word indices to decoded indices.
+/// disappear into the following op's `acct` tag; `LUI` and `LDK` become
+/// `LDI` with the full immediate; branch targets are remapped from word
+/// indices to decoded indices.
 fn decode(ff: FastFunc) -> NatCode {
     let mut ops: Vec<NOp> = Vec::with_capacity(ff.words.len());
     let mut word_to_dec: Vec<u32> = Vec::with_capacity(ff.words.len() + 1);
@@ -122,14 +127,21 @@ fn decode(ff: FastFunc) -> NatCode {
             continue;
         }
         let imm = match op {
-            enc::ADDI | enc::LDI => enc::simm14(w) as u32,
-            enc::LUI => enc::imm19(w) << 13,
-            enc::ORI | enc::LDS | enc::STS | enc::CBNZ | enc::SWITCH | enc::RET => enc::uimm14(w),
-            enc::BR | enc::CALLD | enc::UNWIND | enc::UNREACHABLE => enc::idx24(w),
+            enc::ADDI | enc::LDI => enc::simm14(w) as i64 as u64,
+            enc::LUI => (enc::imm19(w) << 13) as u64,
+            enc::LDK => ff.consts[enc::uimm14(w) as usize],
+            // Spill slots sit after the registers in the frame's slab.
+            enc::LDS | enc::STS => enc::uimm14(w) as u64 + enc::NUM_REGS as u64,
+            enc::ORI | enc::CBNZ | enc::SWITCH | enc::RET | enc::GUARD => enc::uimm14(w) as u64,
+            enc::BR | enc::CALLD | enc::UNWIND | enc::UNREACHABLE => enc::idx24(w) as u64,
             _ => 0,
         };
-        // LUI decodes to LDI-with-full-immediate: one hot-loop case.
-        let op = if op == enc::LUI { enc::LDI } else { op };
+        // Every constant load is one hot-loop case.
+        let op = if matches!(op, enc::LUI | enc::LDK) {
+            enc::LDI
+        } else {
+            op
+        };
         ops.push(NOp {
             op,
             a: enc::rd(w),
@@ -171,6 +183,7 @@ fn decode(ff: FastFunc) -> NatCode {
         edges,
         calls,
         switches: ff.switches,
+        guards: ff.guards,
         n_slots: ff.n_slots,
         arg_homes: ff.arg_homes,
         homes: ff.homes,
@@ -181,12 +194,12 @@ fn decode(ff: FastFunc) -> NatCode {
 // Frames and value boundaries
 // ----------------------------------------------------------------------
 
-/// A native activation record: flat `u32` registers plus spill slots.
+/// A native activation record. `regs` is one pooled `u64` slab: the
+/// register file `r0`–`r31`, then the spill slots.
 pub(crate) struct NatFrame {
     pub(crate) func: FuncId,
     pub(crate) code: Rc<NatCode>,
-    pub(crate) regs: [u32; enc::NUM_REGS],
-    pub(crate) slots: Vec<u32>,
+    pub(crate) regs: Vec<u64>,
     pub(crate) pc: usize,
     pub(crate) allocas: Vec<u32>,
     /// Suspended call site: return-value home/class and invoke edges.
@@ -200,52 +213,71 @@ pub(crate) type PendingCall = (Option<(Home, Class)>, Option<(u32, u32)>);
 
 impl NatFrame {
     #[inline]
-    pub(crate) fn put(&mut self, h: Home, v: u32) {
+    pub(crate) fn put(&mut self, h: Home, v: u64) {
         match h {
             Home::Reg(r) => self.regs[r as usize] = v,
-            Home::Slot(s) => self.slots[s as usize] = v,
+            Home::Slot(s) => self.regs[enc::NUM_REGS + s as usize] = v,
         }
     }
 
     #[inline]
-    fn get(&self, s: Src) -> u32 {
+    fn get(&self, s: Src) -> u64 {
         match s {
             Src::Reg(r) => self.regs[r as usize],
-            Src::Slot(s) => self.slots[s as usize],
+            Src::Slot(s) => self.regs[enc::NUM_REGS + s as usize],
             Src::Imm(k) => k,
         }
     }
-}
 
-/// Low 32 bits of any scalar — the native register image of a value.
-/// Truncation is always sound in this direction (registers are defined
-/// as the canonical value's low word).
-#[inline]
-pub(crate) fn low32(v: &VmValue) -> u32 {
-    match *v {
-        VmValue::Bool(b) => b as u32,
-        VmValue::Int { v, .. } => v as u32,
-        VmValue::F32(f) => f.to_bits(),
-        VmValue::F64(f) => f.to_bits() as u32,
-        VmValue::Ptr(p) => p,
+    /// The frame's formal arguments, rebuilt from their homes (arguments
+    /// are never reassigned, so their homes still hold them).
+    pub(crate) fn args(&self) -> Vec<VmValue> {
+        self.code
+            .arg_homes
+            .iter()
+            .map(|&(h, c)| value_of(self.get(h.into()), c))
+            .collect()
+    }
+
+    /// Deoptimization's register copy — the inverse of
+    /// [`Vm::native_frame_from_interp`]: every home becomes an assigned
+    /// interpreter register. A value not yet defined reads back as
+    /// whatever its home holds; definitions dominate uses, so that is
+    /// unobservable in verified modules.
+    pub(crate) fn interp_regs(&self, mut slab: Vec<Option<VmValue>>) -> Vec<Option<VmValue>> {
+        slab.clear();
+        slab.extend(
+            self.code
+                .homes
+                .iter()
+                .map(|home| home.map(|(h, c)| value_of(self.get(h.into()), c))),
+        );
+        slab
     }
 }
 
-/// Rebuild the exact scalar a class-tagged register represents. Only
-/// exact classes cross value boundaries; `L64` is rejected at translate
-/// time, so reaching it here is a translator bug.
+/// The register image of a scalar: its canonical bit pattern.
 #[inline]
-fn value_of(reg: u32, c: Class) -> VmValue {
+pub(crate) fn bits(v: &VmValue) -> u64 {
+    match *v {
+        VmValue::Bool(b) => b as u64,
+        VmValue::Int { v, .. } => v as u64,
+        VmValue::F32(f) => f.to_bits() as u64,
+        VmValue::F64(f) => f.to_bits(),
+        VmValue::Ptr(p) => p as u64,
+    }
+}
+
+/// Rebuild the exact scalar a class-tagged register represents
+/// (classes ≤ 32 bits read only the low word).
+#[inline]
+fn value_of(reg: u64, c: Class) -> VmValue {
     match c {
         Class::Bool => VmValue::Bool(reg != 0),
-        Class::S8 => VmValue::int(IntKind::S8, reg as i32 as i64),
-        Class::U8 => VmValue::int(IntKind::U8, reg as i64),
-        Class::S16 => VmValue::int(IntKind::S16, reg as i32 as i64),
-        Class::U16 => VmValue::int(IntKind::U16, reg as i64),
-        Class::S32 => VmValue::int(IntKind::S32, reg as i32 as i64),
-        Class::U32 => VmValue::int(IntKind::U32, reg as i64),
-        Class::Ptr => VmValue::Ptr(reg),
-        Class::L64 => unreachable!("L64 never crosses a value boundary"),
+        Class::Ptr => VmValue::Ptr(reg as u32),
+        Class::F32 => VmValue::F32(f32::from_bits(reg as u32)),
+        Class::F64 => VmValue::F64(f64::from_bits(reg)),
+        int => VmValue::int(int.int_kind().expect("integer class"), reg as i64),
     }
 }
 
@@ -256,16 +288,46 @@ pub(crate) fn matches_class(v: &VmValue, c: Class) -> bool {
         VmValue::Bool(_) => c == Class::Bool,
         VmValue::Int { kind, .. } => Class::of_kind(*kind) == c,
         VmValue::Ptr(_) => c == Class::Ptr,
-        VmValue::F32(_) | VmValue::F64(_) => false,
+        VmValue::F32(_) => c == Class::F32,
+        VmValue::F64(_) => c == Class::F64,
+    }
+}
+
+/// A class code from an op's `extra` field (the encoder only emits valid
+/// ones).
+fn class_at(code: u16) -> Result<Class, ExecError> {
+    Class::from_code(code).ok_or_else(|| ExecError::trap(TrapKind::Invalid, "bad class code"))
+}
+
+/// The interpreter's cast to a scalar class. Scalar casts never look at
+/// a pointer's pointee, so any pointer type stands for `Ptr`.
+fn cast_scalar(v: VmValue, to: Class) -> Result<VmValue, ExecError> {
+    let ty = match to {
+        Class::Bool => Type::Bool,
+        Class::Ptr => Type::Ptr(TypeId::from_index(0)),
+        Class::F32 => Type::F32,
+        Class::F64 => Type::F64,
+        int => Type::Int(int.int_kind().expect("integer class")),
+    };
+    crate::interp::cast_to(v, &ty)
+}
+
+fn load(mem: &mut Memory, addr: u32, cl: Class) -> Result<VmValue, ExecError> {
+    match cl {
+        Class::Bool => mem.load_bool(addr),
+        Class::Ptr => mem.load_ptr(addr),
+        Class::F32 => mem.load_f32(addr),
+        Class::F64 => mem.load_f64(addr),
+        int => mem.load_int(addr, int.int_kind().expect("integer class")),
     }
 }
 
 impl<'m> Vm<'m> {
     /// The native code of `f`, translating on first use. The
-    /// `native.translate` fault site fires here, mirroring
-    /// `jit.translate`: any injected non-delay action surfaces as a
-    /// translation failure, which the tier ladder answers with permanent
-    /// demotion to the JIT tier (the program keeps running).
+    /// `native.translate` fault site fires here: any injected non-delay
+    /// action surfaces as a translation failure, which the tier ladder
+    /// answers with permanent demotion to the interpreter (the program
+    /// keeps running).
     pub(crate) fn ensure_native_translated(&mut self, f: FuncId) -> Result<Rc<NatCode>, Bail> {
         if let Some(nc) = &self.native_cache[f.index()] {
             return Ok(nc.clone());
@@ -303,7 +365,7 @@ impl<'m> Vm<'m> {
                     sp.arg("error", b.detail.clone());
                     trace::instant_args(
                         "native",
-                        "bail-to-jit",
+                        "bail-to-interp",
                         vec![
                             ("function", self.module().func(f).name.clone()),
                             ("reason", b.reason.to_string()),
@@ -325,142 +387,100 @@ impl<'m> Vm<'m> {
         let env = FastEnv {
             func_addr: &|f| Memory::func_addr(f.index()),
             global_addr: &|i| globals.get(i).copied(),
-            guarded: &|iid| spec.is_some_and(|sm| sm.guard_at(f, iid).is_some()),
+            guard: &|iid| spec.and_then(|sm| sm.guard_at(f, iid)).map(|g| g.id),
         };
         translate_fast(m, f, &env).map(decode)
     }
 
+    /// A native frame for `code` with the arguments in place, or `None`
+    /// when an actual argument does not match its declared class.
+    fn native_frame(
+        &mut self,
+        f: FuncId,
+        code: &Rc<NatCode>,
+        args: &[VmValue],
+    ) -> Option<NatFrame> {
+        if args.len() != code.arg_homes.len()
+            || args
+                .iter()
+                .zip(&code.arg_homes)
+                .any(|(v, &(_, c))| !matches_class(v, c))
+        {
+            return None;
+        }
+        let mut regs = self.native_reg_pool.pop().unwrap_or_default();
+        regs.clear();
+        regs.resize(enc::NUM_REGS + code.n_slots as usize, 0);
+        let mut fr = NatFrame {
+            func: f,
+            code: code.clone(),
+            regs,
+            pc: 0,
+            allocas: Vec::new(),
+            pending: None,
+        };
+        for (v, &(h, _)) in args.iter().zip(&code.arg_homes) {
+            fr.put(h, bits(v));
+        }
+        Some(fr)
+    }
+
     /// Build a native activation record for a call to `f`, or `None` when
     /// an actual argument does not match its declared class — the caller
-    /// then falls back to a JIT frame, which represents anything.
-    /// Records the call in the profile only on success.
+    /// then interprets the call, which represents anything. Records the
+    /// call in the profile only on success.
     pub(crate) fn make_native_frame(
         &mut self,
         f: FuncId,
         args: &[VmValue],
     ) -> Result<Option<NatFrame>, ExecError> {
         let code = self.ensure_native_translated(f)?;
-        if args.len() != code.arg_homes.len() {
-            return Ok(None);
-        }
-        for (v, &(_, c)) in args.iter().zip(&code.arg_homes) {
-            if !matches_class(v, c) {
-                return Ok(None);
-            }
-        }
-        if self.opts.profile {
+        let fr = self.native_frame(f, &code, args);
+        if fr.is_some() && self.opts.profile {
             self.profile.record_call(f);
             self.profile.record_block(f, self.module().func(f).entry());
         }
-        let mut slots = self.native_slot_pool.pop().unwrap_or_default();
-        slots.clear();
-        slots.resize(code.n_slots as usize, 0);
-        let mut fr = NatFrame {
-            func: f,
-            code: code.clone(),
-            regs: [0; enc::NUM_REGS],
-            slots,
-            pc: 0,
-            allocas: Vec::new(),
-            pending: None,
-        };
-        for (v, &(h, _)) in args.iter().zip(&code.arg_homes) {
-            fr.put(h, low32(v));
-        }
-        Ok(Some(fr))
+        Ok(fr)
     }
 
-    /// Release a popped native frame's allocas and recycle its slot slab.
+    /// Release a popped native frame's allocas and recycle its register
+    /// slab.
     pub(crate) fn recycle_native_frame(&mut self, mut fr: NatFrame) -> Result<(), ExecError> {
-        let mut slots = std::mem::take(&mut fr.slots);
-        slots.clear();
-        self.native_slot_pool.push(slots);
+        self.recycle_native_regs(&mut fr);
         for a in fr.allocas {
             self.mem.release(a)?;
         }
         Ok(())
     }
 
+    /// Return a native frame's register slab to the pool.
+    pub(crate) fn recycle_native_regs(&mut self, fr: &mut NatFrame) {
+        let mut regs = std::mem::take(&mut fr.regs);
+        regs.clear();
+        self.native_reg_pool.push(regs);
+    }
+
     /// Convert an interpreter frame at a block boundary (`idx == 0`) into
     /// a native frame — interpreter-to-native OSR. `None` when an actual
-    /// argument defies its declared class; the caller falls back to JIT
-    /// OSR. Homes are a pure function of `InstId`, so this is one
-    /// table-driven copy (the `FrameMap` role for tier 3).
+    /// argument defies its declared class; the frame keeps interpreting.
+    /// Homes are a pure function of `InstId`, so this is one table-driven
+    /// copy ([`NatFrame::interp_regs`] is its inverse).
     pub(crate) fn native_frame_from_interp(
         &mut self,
         fr: &mut Frame,
     ) -> Result<Option<NatFrame>, ExecError> {
         let code = self.ensure_native_translated(fr.func)?;
-        if fr.args.len() != code.arg_homes.len() {
+        let Some(mut nf) = self.native_frame(fr.func, &code, &fr.args) else {
             return Ok(None);
-        }
-        for (v, &(_, c)) in fr.args.iter().zip(&code.arg_homes) {
-            if !matches_class(v, c) {
-                return Ok(None);
-            }
-        }
-        let mut slots = self.native_slot_pool.pop().unwrap_or_default();
-        slots.clear();
-        slots.resize(code.n_slots as usize, 0);
-        let mut nf = NatFrame {
-            func: fr.func,
-            code: code.clone(),
-            regs: [0; enc::NUM_REGS],
-            slots,
-            pc: code.block_dec[fr.block.index()] as usize,
-            allocas: std::mem::take(&mut fr.allocas),
-            pending: None,
         };
-        for (v, &(h, _)) in fr.args.iter().zip(&code.arg_homes) {
-            nf.put(h, low32(v));
-        }
+        nf.pc = code.block_dec[fr.block.index()] as usize;
+        nf.allocas = std::mem::take(&mut fr.allocas);
         for (i, home) in code.homes.iter().enumerate() {
             if let Some((h, _)) = home {
                 // Unset registers keep the zero filler: definitions
                 // dominate uses, so an unset register is unobservable.
                 if let Some(Some(v)) = fr.regs.get(i) {
-                    nf.put(*h, low32(v));
-                }
-            }
-        }
-        Ok(Some(nf))
-    }
-
-    /// Convert a JIT frame at a block boundary into a native frame —
-    /// JIT-to-native OSR (same table as [`Vm::native_frame_from_interp`]).
-    pub(crate) fn native_frame_from_jit(
-        &mut self,
-        fr: &mut JitFrame,
-        block: u32,
-    ) -> Result<Option<NatFrame>, ExecError> {
-        let code = self.ensure_native_translated(fr.func)?;
-        if fr.args.len() != code.arg_homes.len() {
-            return Ok(None);
-        }
-        for (v, &(_, c)) in fr.args.iter().zip(&code.arg_homes) {
-            if !matches_class(v, c) {
-                return Ok(None);
-            }
-        }
-        let mut slots = self.native_slot_pool.pop().unwrap_or_default();
-        slots.clear();
-        slots.resize(code.n_slots as usize, 0);
-        let mut nf = NatFrame {
-            func: fr.func,
-            code: code.clone(),
-            regs: [0; enc::NUM_REGS],
-            slots,
-            pc: code.block_dec[block as usize] as usize,
-            allocas: std::mem::take(&mut fr.allocas),
-            pending: None,
-        };
-        for (v, &(h, _)) in fr.args.iter().zip(&code.arg_homes) {
-            nf.put(h, low32(v));
-        }
-        for (i, home) in code.homes.iter().enumerate() {
-            if let Some((h, _)) = home {
-                if let Some(v) = fr.regs.get(i) {
-                    nf.put(*h, low32(v));
+                    nf.put(*h, bits(v));
                 }
             }
         }
@@ -471,6 +491,26 @@ impl<'m> Vm<'m> {
 // ----------------------------------------------------------------------
 // Execution
 // ----------------------------------------------------------------------
+
+/// How a native burst ended.
+pub(crate) enum Flow {
+    /// A call into a defined function; the return-value home and invoke
+    /// edges are parked in the frame's `pending` slot.
+    Call {
+        target: FuncId,
+        args: Vec<VmValue>,
+        varargs: Vec<VmValue>,
+    },
+    Ret(Option<VmValue>),
+    Unwinding,
+    /// A speculation guard failed. The fail edge has already been taken
+    /// (φ-copies done, pc at the start of `block`, profile recorded), so
+    /// the frame is at a clean block boundary: the tier ladder rebuilds
+    /// an interpreter frame there (deoptimization).
+    Deopt {
+        block: u32,
+    },
+}
 
 /// Transfer control along edge `e`: apply the sequentialised φ-copies,
 /// move the pc, and record the edge/block profile (matching the
@@ -491,10 +531,19 @@ pub(crate) fn take_nat_edge(vm: &mut Vm<'_>, fr: &mut NatFrame, code: &NatCode, 
     }
 }
 
-/// Run the frame's decoded code until a call boundary, return, unwind or
-/// trap. The inner loop touches only the flat register file, the frame's
-/// slot slab and (for memory ops) the checked [`Memory`] — this is the
-/// dispatch-density win over the `LowFunc` tier.
+fn div_by_zero(rem: bool) -> ExecError {
+    let what = if rem {
+        "integer remainder"
+    } else {
+        "integer division"
+    };
+    ExecError::trap(TrapKind::DivByZero, what)
+}
+
+/// Run the frame's decoded code until a call boundary, return, unwind,
+/// deoptimization or trap. The inner loop touches only the flat register
+/// file, the frame's slot slab and (for memory ops) the checked
+/// [`Memory`].
 pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flow, ExecError> {
     let code = fr.code.clone();
     loop {
@@ -504,6 +553,7 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
             vm.charge(Tier::Native, (op.acct - 1) as usize)?;
         }
         let (a, b, c) = (op.a as usize, op.b as usize, op.c as usize);
+        let wide = op.extra == enc::W64;
         match op.op {
             enc::ADD => fr.regs[a] = fr.regs[b].wrapping_add(fr.regs[c]),
             enc::SUB => fr.regs[a] = fr.regs[b].wrapping_sub(fr.regs[c]),
@@ -513,51 +563,68 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
             enc::OR => fr.regs[a] = fr.regs[b] | fr.regs[c],
             enc::XOR => fr.regs[a] = fr.regs[b] ^ fr.regs[c],
             enc::SLL => {
-                let sh = fr.regs[c] & (op.extra as u32 - 1);
+                let sh = fr.regs[c] & (op.extra as u64 - 1);
                 fr.regs[a] = fr.regs[b] << sh;
             }
             enc::SRL => {
-                let sh = fr.regs[c] & (op.extra as u32 - 1);
-                fr.regs[a] = fr.regs[b] >> sh;
+                let sh = fr.regs[c] & (op.extra as u64 - 1);
+                fr.regs[a] = if wide {
+                    fr.regs[b] >> sh
+                } else {
+                    (fr.regs[b] as u32 >> sh) as u64
+                };
             }
             enc::SRA => {
-                let sh = fr.regs[c] & (op.extra as u32 - 1);
-                fr.regs[a] = ((fr.regs[b] as i32) >> sh) as u32;
+                let sh = fr.regs[c] & (op.extra as u64 - 1);
+                fr.regs[a] = if wide {
+                    ((fr.regs[b] as i64) >> sh) as u64
+                } else {
+                    ((fr.regs[b] as i32) >> sh) as u32 as u64
+                };
             }
-            enc::DIVS => {
-                let (x, y) = (fr.regs[b] as i32, fr.regs[c] as i32);
-                if y == 0 {
-                    return Err(ExecError::trap(TrapKind::DivByZero, "integer division"));
-                }
-                fr.regs[a] = x.wrapping_div(y) as u32;
+            enc::DIVS | enc::REMS => {
+                let rem = op.op == enc::REMS;
+                fr.regs[a] = if wide {
+                    let (x, y) = (fr.regs[b] as i64, fr.regs[c] as i64);
+                    if y == 0 {
+                        return Err(div_by_zero(rem));
+                    }
+                    (if rem {
+                        x.wrapping_rem(y)
+                    } else {
+                        x.wrapping_div(y)
+                    }) as u64
+                } else {
+                    let (x, y) = (fr.regs[b] as i32, fr.regs[c] as i32);
+                    if y == 0 {
+                        return Err(div_by_zero(rem));
+                    }
+                    (if rem {
+                        x.wrapping_rem(y)
+                    } else {
+                        x.wrapping_div(y)
+                    }) as u32 as u64
+                };
             }
-            enc::DIVU => {
-                let (x, y) = (fr.regs[b], fr.regs[c]);
+            enc::DIVU | enc::REMU => {
+                let rem = op.op == enc::REMU;
+                let (x, y) = if wide {
+                    (fr.regs[b], fr.regs[c])
+                } else {
+                    (fr.regs[b] as u32 as u64, fr.regs[c] as u32 as u64)
+                };
                 if y == 0 {
-                    return Err(ExecError::trap(TrapKind::DivByZero, "integer division"));
+                    return Err(div_by_zero(rem));
                 }
-                fr.regs[a] = x / y;
-            }
-            enc::REMS => {
-                let (x, y) = (fr.regs[b] as i32, fr.regs[c] as i32);
-                if y == 0 {
-                    return Err(ExecError::trap(TrapKind::DivByZero, "integer remainder"));
-                }
-                fr.regs[a] = x.wrapping_rem(y) as u32;
-            }
-            enc::REMU => {
-                let (x, y) = (fr.regs[b], fr.regs[c]);
-                if y == 0 {
-                    return Err(ExecError::trap(TrapKind::DivByZero, "integer remainder"));
-                }
-                fr.regs[a] = x % y;
+                fr.regs[a] = if rem { x % y } else { x / y };
             }
             enc::CMP => {
                 let (x, y) = (fr.regs[b], fr.regs[c]);
-                let ord = if op.extra & 8 != 0 {
-                    x.cmp(&y)
-                } else {
-                    (x as i32).cmp(&(y as i32))
+                let ord = match op.extra & 24 {
+                    0 => (x as i32).cmp(&(y as i32)),
+                    8 => (x as u32).cmp(&(y as u32)),
+                    16 => (x as i64).cmp(&(y as i64)),
+                    _ => x.cmp(&y),
                 };
                 let hit = match op.extra & 7 {
                     0 => ord.is_eq(),
@@ -567,55 +634,74 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                     4 => ord.is_le(),
                     _ => ord.is_ge(),
                 };
-                fr.regs[a] = hit as u32;
+                fr.regs[a] = hit as u64;
             }
-            enc::SETNZ => fr.regs[a] = (fr.regs[b] != 0) as u32,
+            enc::SETNZ => {
+                let v = fr.regs[b];
+                fr.regs[a] = if wide { v != 0 } else { v as u32 != 0 } as u64;
+            }
             enc::NORM => {
                 let v = fr.regs[b];
-                fr.regs[a] = match Class::from_code(op.extra) {
-                    Some(Class::S8) => v as i8 as i32 as u32,
-                    Some(Class::U8) => v & 0xFF,
-                    Some(Class::S16) => v as i16 as i32 as u32,
-                    Some(Class::U16) => v & 0xFFFF,
-                    _ => v,
+                fr.regs[a] = match class_at(op.extra)? {
+                    Class::S8 => v as i8 as i64 as u64,
+                    Class::U8 => v as u8 as u64,
+                    Class::S16 => v as i16 as i64 as u64,
+                    Class::U16 => v as u16 as u64,
+                    Class::S32 => v as i32 as i64 as u64,
+                    Class::S64 | Class::U64 | Class::F64 => v,
+                    _ => v as u32 as u64,
                 };
             }
             enc::MOV => fr.regs[a] = fr.regs[b],
+            enc::FBIN => {
+                let cl = class_at(op.extra >> 4)?;
+                let bop = BinOp::ALL[(op.extra & 15) as usize % BinOp::ALL.len()];
+                let r = crate::interp::exec_bin(
+                    bop,
+                    value_of(fr.regs[b], cl),
+                    value_of(fr.regs[c], cl),
+                )?;
+                fr.regs[a] = bits(&r);
+            }
+            enc::FCMP => {
+                let cl = class_at(op.extra >> 4)?;
+                let pred = CmpPred::ALL[(op.extra & 15) as usize % CmpPred::ALL.len()];
+                let r = crate::interp::exec_cmp(
+                    pred,
+                    value_of(fr.regs[b], cl),
+                    value_of(fr.regs[c], cl),
+                )?;
+                fr.regs[a] = r as u64;
+            }
+            enc::CVT => {
+                let (from, to) = (class_at(op.extra & 15)?, class_at(op.extra >> 4)?);
+                fr.regs[a] = bits(&cast_scalar(value_of(fr.regs[b], from), to)?);
+            }
             enc::ADDI => fr.regs[a] = fr.regs[b].wrapping_add(op.imm),
             enc::LDI => fr.regs[a] = op.imm,
             enc::ORI => fr.regs[a] = fr.regs[b] | op.imm,
-            enc::LDS => fr.regs[a] = fr.slots[op.imm as usize],
-            enc::STS => fr.slots[op.imm as usize] = fr.regs[b],
+            enc::LDS => fr.regs[a] = fr.regs[op.imm as usize],
+            enc::STS => fr.regs[op.imm as usize] = fr.regs[b],
             enc::LD => {
-                let addr = fr.regs[b];
-                fr.regs[a] = match Class::from_code(op.extra) {
-                    Some(Class::Bool) => low32(&vm.mem.load_bool(addr)?),
-                    Some(Class::Ptr) => low32(&vm.mem.load_ptr(addr)?),
-                    Some(cl) => {
-                        let kind = cl
-                            .int_kind()
-                            .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "bad load class"))?;
-                        low32(&vm.mem.load_int(addr, kind)?)
-                    }
-                    None => return Err(ExecError::trap(TrapKind::Invalid, "bad load class")),
-                };
+                let v = load(&mut vm.mem, fr.regs[b] as u32, class_at(op.extra)?)?;
+                fr.regs[a] = bits(&v);
             }
             enc::ST => {
-                let addr = fr.regs[b];
-                let cl = Class::from_code(op.extra)
-                    .filter(|c| c.is_exact())
-                    .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "bad store class"))?;
-                vm.mem.store(addr, value_of(fr.regs[c], cl))?;
+                let v = value_of(fr.regs[c], class_at(op.extra)?);
+                vm.mem.store(fr.regs[b] as u32, v)?;
             }
             enc::ALLOC => {
+                let r = fr.regs[b];
                 let n: u64 = if op.extra & 2 != 0 {
                     1
+                } else if op.extra & 8 != 0 {
+                    (r as i64).max(0) as u64
                 } else if op.extra & 4 != 0 {
-                    fr.regs[b] as u64
+                    r as u32 as u64
                 } else {
-                    (fr.regs[b] as i32 as i64).max(0) as u64
+                    (r as i32 as i64).max(0) as u64
                 };
-                let size = (fr.regs[c] as u64) * n;
+                let size = (fr.regs[c] as u32 as u64).saturating_mul(n);
                 let size32: u32 = size
                     .try_into()
                     .map_err(|_| ExecError::trap(TrapKind::OutOfMemory, "allocation too large"))?;
@@ -623,10 +709,10 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                 if op.extra & 1 != 0 {
                     fr.allocas.push(addr);
                 }
-                fr.regs[a] = addr;
+                fr.regs[a] = addr as u64;
             }
             enc::FREE => {
-                let p = fr.regs[b];
+                let p = fr.regs[b] as u32;
                 if p != 0 {
                     vm.mem.release(p)?;
                 }
@@ -639,16 +725,28 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                     take_nat_edge(vm, fr, &code, op.imm as usize);
                 }
             }
-            enc::SWITCH => {
-                let v = fr.regs[b];
-                let tbl = &code.switches[op.imm as usize];
-                let mut e = tbl.default;
-                for &(cv, ce) in &tbl.cases {
-                    if cv == v {
-                        e = ce;
-                        break;
-                    }
+            enc::GUARD => {
+                let g = &code.guards[op.imm as usize];
+                if vm.guard_check(g.gid, fr.regs[b] != 0) {
+                    take_nat_edge(vm, fr, &code, g.pass as usize);
+                } else {
+                    take_nat_edge(vm, fr, &code, g.fail as usize);
+                    let block = code.edges[g.fail as usize].to;
+                    return Ok(Flow::Deopt { block });
                 }
+            }
+            enc::SWITCH => {
+                let tbl = &code.switches[op.imm as usize];
+                let v = if tbl.wide {
+                    fr.regs[b]
+                } else {
+                    fr.regs[b] as u32 as u64
+                };
+                let e = tbl
+                    .cases
+                    .iter()
+                    .find(|&&(cv, _)| cv == v)
+                    .map_or(tbl.default, |&(_, ce)| ce);
                 take_nat_edge(vm, fr, &code, e as usize);
             }
             enc::CALLD => {
@@ -660,7 +758,7 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                 let target = match &call.desc.callee {
                     FastCallee::Direct(f) => *f,
                     FastCallee::Indirect(s) => {
-                        let addr = fr.get(*s);
+                        let addr = fr.get(*s) as u32;
                         let (hit_addr, hit_func) = call.ic.get();
                         if hit_func != 0 && hit_addr == addr {
                             FuncId::from_index((hit_func - 1) as usize)
@@ -685,19 +783,17 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                     .collect();
                 let tf = vm.module().func(target);
                 if tf.is_declaration() {
-                    let eh = call.desc.eh;
-                    let dst = call.desc.dst;
-                    let ret = vm.call_external_by_id(target, &argv)?;
-                    if let (Some((h, cl)), Some(v)) = (dst, ret) {
+                    let ret = vm.call_external(target, &argv)?;
+                    if let (Some((h, cl)), Some(v)) = (call.desc.dst, ret) {
                         if !matches_class(&v, cl) {
                             return Err(ExecError::trap(
                                 TrapKind::Invalid,
                                 "native call result class mismatch",
                             ));
                         }
-                        fr.put(h, low32(&v));
+                        fr.put(h, bits(&v));
                     }
-                    if let Some((normal, _)) = eh {
+                    if let Some((normal, _)) = call.desc.eh {
                         take_nat_edge(vm, fr, &code, normal as usize);
                     }
                     continue;
@@ -710,21 +806,15 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                     (argv, Vec::new())
                 };
                 fr.pending = Some((call.desc.dst, call.desc.eh));
-                // dst/eh ride in the frame's typed pending slot, not the
-                // (JIT-shaped) Flow fields.
                 return Ok(Flow::Call {
                     target,
                     args: fixed,
                     varargs: extra,
-                    dst: None,
-                    eh: None,
                 });
             }
             enc::RET => {
                 if op.imm & 1 != 0 {
-                    let cl = Class::from_code((op.imm >> 1) as u16)
-                        .filter(|c| c.is_exact())
-                        .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "bad ret class"))?;
+                    let cl = class_at((op.imm >> 1) as u16)?;
                     return Ok(Flow::Ret(Some(value_of(fr.regs[b], cl))));
                 }
                 return Ok(Flow::Ret(None));
@@ -738,5 +828,230 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
             }
             _ => return Err(ExecError::trap(TrapKind::Invalid, "bad native opcode")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Vm, VmOptions};
+
+    /// Every function translated on its first call.
+    fn eager(opts: VmOptions) -> VmOptions {
+        VmOptions { tier_up: 0, ..opts }
+    }
+
+    /// Run `src` interpreted and all-native; outputs must agree and the
+    /// native run must never interpret.
+    fn both(src: &str) -> (i64, i64) {
+        let m = lpat_asm::parse_module("t", src).unwrap();
+        m.verify().unwrap();
+        let mut a = Vm::new(&m, VmOptions::default()).unwrap();
+        let ra = a.run_main().unwrap_or_else(|e| panic!("interp: {e}"));
+        let mut b = Vm::new(&m, eager(VmOptions::default())).unwrap();
+        let rb = b
+            .run_main_tiered()
+            .unwrap_or_else(|e| panic!("native: {e}"));
+        assert_eq!(b.tier_stats.interp_insts, 0, "eager run interpreted");
+        assert_eq!(a.output, b.output, "output must match");
+        assert_eq!(a.opcode_counts, b.opcode_counts, "histogram must match");
+        (ra, rb)
+    }
+
+    #[test]
+    fn native_matches_interp_on_loops_and_calls() {
+        let (a, b) = both(
+            "
+define int @fact(int %n) {
+e:
+  %c = setle int %n, 1
+  br bool %c, label %base, label %rec
+base:
+  ret int 1
+rec:
+  %n1 = sub int %n, 1
+  %r = call int @fact(int %n1)
+  %v = mul int %n, %r
+  ret int %v
+}
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 1, %e ], [ %i2, %h ]
+  %s = phi int [ 0, %e ], [ %s2, %h ]
+  %f = call int @fact(int %i)
+  %s2 = add int %s, %f
+  %i2 = add int %i, 1
+  %c = setle int %i2, 6
+  br bool %c, label %h, label %x
+x:
+  ret int %s2
+}",
+        );
+        assert_eq!(a, b);
+        assert_eq!(a, 873); // 1!+2!+...+6!
+    }
+
+    #[test]
+    fn native_memory_globals_and_gep() {
+        // 64-bit induction variable, compare and GEP index.
+        let (a, b) = both(
+            "
+%s = type { int, [4 x int] }
+@tab = global %s zeroinitializer
+declare void @print_int(int)
+define int @main() {
+e:
+  %f0 = getelementptr %s* @tab, long 0, ubyte 0
+  store int 7, int* %f0
+  br label %h
+h:
+  %i = phi long [ 0, %e ], [ %i2, %h ]
+  %p = getelementptr %s* @tab, long 0, ubyte 1, long %i
+  %iv = cast long %i to int
+  %v = mul int %iv, 3
+  store int %v, int* %p
+  %i2 = add long %i, 1
+  %c = setlt long %i2, 4
+  br bool %c, label %h, label %x
+x:
+  %last = getelementptr %s* @tab, long 0, ubyte 1, long 3
+  %lv = load int* %last
+  %base = load int* %f0
+  %r = add int %lv, %base
+  call void @print_int(int %r)
+  ret int %r
+}",
+        );
+        assert_eq!(a, b);
+        assert_eq!(a, 16);
+    }
+
+    #[test]
+    fn native_wide_ints_and_floats_match_interp() {
+        // Whole-register 64-bit values (above 2^32, negative, shifted,
+        // divided, stored and returned) and float bit patterns (NaN,
+        // -0.0, int<->float casts) through every boundary.
+        let (a, b) = both(
+            "
+@cell = global long 0
+@fcell = global double zeroinitializer
+declare void @print_int(int)
+declare void @print_double(double)
+define long @mix(long %x, double %d) {
+e:
+  %big = mul long %x, 4294967296
+  %sh = shr long %big, 3
+  %q = div long %sh, -7
+  %r = rem long %big, 1000000007
+  %s = add long %q, %r
+  store long %s, long* @cell
+  %back = load long* @cell
+  %fd = cast long %back to double
+  %h = mul double %fd, %d
+  store double %h, double* @fcell
+  %nan = div double 0x0000000000000000, 0x0000000000000000
+  %isn = setne double %nan, %nan
+  %nz = sub double 0x8000000000000000, 0x0000000000000000
+  %eqz = seteq double %nz, 0x0000000000000000
+  %both = and bool %isn, %eqz
+  br bool %both, label %ok, label %bad
+ok:
+  %g = load double* @fcell
+  call void @print_double(double %g)
+  %hi = shr long %back, 33
+  %lt = setlt long %back, 0
+  %w = cast bool %lt to long
+  %res = add long %hi, %w
+  ret long %res
+bad:
+  ret long -1
+}
+define int @main() {
+e:
+  %v = call long @mix(long -12345, double 0x3FE0000000000000)
+  %t = cast long %v to int
+  call void @print_int(int %t)
+  %f = cast int %t to float
+  %f2 = mul float %f, 0x3FC00000
+  %back = cast float %f2 to int
+  ret int %back
+}",
+        );
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn native_eh_unwinds() {
+        let (a, b) = both(
+            "
+define void @thrower() {
+e:
+  unwind
+}
+define void @mid() {
+e:
+  call void @thrower()
+  ret void
+}
+define int @main() {
+e:
+  invoke void @mid() to label %fine unwind label %handler
+fine:
+  ret int 1
+handler:
+  ret int 2
+}",
+        );
+        assert_eq!((a, b), (2, 2));
+    }
+
+    #[test]
+    fn native_indirect_calls_and_switch() {
+        let (a, b) = both(
+            "
+define int @one(int %x) {
+e:
+  ret int 1
+}
+define int @two(int %x) {
+e:
+  ret int 2
+}
+@vt = constant [2 x int (int)*] [ int (int)* @one, int (int)* @two ]
+define int @main() {
+e:
+  %slot = getelementptr [2 x int (int)*]* @vt, long 0, long 1
+  %fp = load int (int)** %slot
+  %v = call int %fp(int 0)
+  %w = cast int %v to long
+  switch long %w, label %d [ long 2, label %good ]
+good:
+  ret int 42
+d:
+  ret int 0
+}",
+        );
+        assert_eq!((a, b), (42, 42));
+    }
+
+    #[test]
+    fn native_histogram_and_fuel_match_interp() {
+        let w = &lpat_workloads::suite(0)[1];
+        let m = lpat_minic::compile(w.name, &w.source).unwrap();
+        let opts = VmOptions {
+            fuel: Some(20_000_000),
+            ..VmOptions::default()
+        };
+        let mut a = Vm::new(&m, opts.clone()).unwrap();
+        let ra = a.run_main().unwrap();
+        let mut b = Vm::new(&m, eager(opts)).unwrap();
+        let rb = b.run_main_tiered().unwrap();
+        assert_eq!(ra, rb);
+        assert_eq!(a.output, b.output);
+        assert_eq!(a.insts_executed, b.insts_executed);
+        assert_eq!(a.opcode_counts, b.opcode_counts);
+        assert_eq!(a.opts.fuel, b.opts.fuel);
+        assert_eq!(b.tier_stats.interp_insts, 0);
     }
 }

@@ -3,30 +3,28 @@
 //!
 //! The paper's runtime model assumes execution *starts* cheap and
 //! *becomes* fast: lightweight profiling identifies hot regions, which
-//! are then handed to the native tier. This module is that adaptive
-//! middle layer for the VM:
+//! are then handed to a code generator that translates "one function at
+//! a time" (§3.4). This module is that adaptive layer for the VM, a
+//! two-rung ladder:
 //!
 //! * Every function starts in the **profiling interpreter**. A hotness
 //!   counter per function sums its calls and its loop back-edges.
 //! * When the counter *exceeds* `VmOptions::tier_up`, the function is
-//!   **promoted**: translated to [`crate::jit::LowFunc`] form and run by
-//!   the JIT dispatch loop from then on. If the current activation is
-//!   interpreted when its function crosses the threshold on a back-edge,
-//!   it is switched in place at the loop-header boundary (**on-stack
-//!   replacement**) — hot loops in `main` get fast without waiting for a
-//!   second call that never comes.
-//! * The counter restarts at JIT promotion; when it exceeds
-//!   `VmOptions::native_up` the function is promoted again, to
-//!   single-pass machine code (`native.rs`), by call or by OSR at a loop
-//!   header. This is the only tiered engine: every rung is always on,
-//!   and a very large threshold simply never promotes.
-//! * A translation failure **demotes** the function permanently to the
-//!   rung below (interpreter after a JIT failure, JIT after a native
-//!   one); execution continues. [`TierStats`] counts demotions by
-//!   reason.
-//! * Interpreted, translated and native frames interleave freely on one
-//!   call stack in every direction — including across
-//!   `invoke`/`unwind`.
+//!   **promoted**: translated by the single-pass backend to machine code
+//!   (`native.rs`) and run there from then on. If the current activation
+//!   is interpreted when its function crosses the threshold on a
+//!   back-edge, it is switched in place at the loop-header boundary
+//!   (**on-stack replacement**) — hot loops in `main` get fast without
+//!   waiting for a second call that never comes.
+//! * A translation failure (varargs, an encoding limit, an injected
+//!   `native.translate` fault) **demotes** the function permanently to
+//!   the interpreter; execution continues. [`TierStats`] counts
+//!   demotions by reason.
+//! * A failing speculation guard in machine code **deoptimizes**: the
+//!   native frame becomes an interpreter frame at the guard's slow block
+//!   through one home-table copy, the inverse of OSR.
+//! * Interpreted and native frames interleave freely on one call stack
+//!   in both directions — including across `invoke`/`unwind`.
 //! * [`Vm::warm_start`] seeds the tier decisions from a prior run's
 //!   profile (the lifelong store's accumulated counts): functions already
 //!   known hot are translated eagerly at load, closing the paper's
@@ -47,32 +45,24 @@ use lpat_codegen::fast::bail;
 
 use crate::error::{ExecError, TrapKind};
 use crate::interp::{Frame, StepResult, Vm};
-use crate::jit::{Flow, JitFrame};
+use crate::native::{Flow, NatFrame};
 use crate::profile::ProfileData;
 use crate::value::VmValue;
 
-/// Per-function tier state: the promotion ladder is
-/// `Cold → Hot → Native`, with a permanent demotion state at each rung.
+/// Per-function tier state: `Cold → Native`, or `Demoted` for good.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum TierCell {
     /// Interpreted; the payload is the hotness counter (calls +
     /// back-edges observed so far).
     Cold(u64),
-    /// Promoted to the JIT tier: translated code exists in the cache and
-    /// is used for every call (and, via OSR, for running interpreted
-    /// activations). The payload is the *native* hotness counter —
-    /// calls + back-edges observed while on this tier — driving the
-    /// second promotion.
-    Hot(u64),
-    /// Promoted twice: single-pass machine code exists in the native
-    /// cache and is used for every call whose arguments match the
-    /// declared classes (others fall back to the JIT frame, per call).
+    /// Promoted: machine code exists in the native cache and is used for
+    /// every call whose arguments match the declared classes (others are
+    /// interpreted, per call), and, via OSR, for running interpreted
+    /// activations.
     Native,
-    /// JIT translation failed; permanently interpreted.
+    /// Translation failed, or deoptimization panicked; permanently
+    /// interpreted.
     Demoted,
-    /// Native translation failed (`native.translate` fault or a backend
-    /// bail); permanently on the JIT tier.
-    NativeDemoted,
 }
 
 /// One rung of the ladder: what dispatches an instruction, picked per
@@ -80,105 +70,60 @@ pub(crate) enum TierCell {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Tier {
     Interp,
-    Jit,
     Native,
 }
 
 /// Tiered-execution statistics, kept outside the trace layer so wall
 /// clock–dependent values (translation time) never leak into
 /// byte-deterministic trace exports.
+///
+/// Fields marked *unused* belong to the deleted middle rung. The
+/// single interp ⇄ native rung never writes them, so they stay 0; they
+/// remain only because the frozen benchmark (`perfbench/`) reads them,
+/// and go with its next change.
 #[derive(Clone, Debug, Default)]
 pub struct TierStats {
-    /// Functions promoted interpreter → JIT at run time (includes
+    /// Functions promoted interpreter → machine code (includes
     /// warm-start promotions; `promoted - warmed` is the runtime count).
     pub promoted: u64,
-    /// Functions demoted after a translation failure.
+    /// Functions demoted to the interpreter: a failed translation, or a
+    /// deoptimization whose frame rebuild panicked.
     pub demoted: u64,
     /// `demoted`, split by [`bail`] reason.
     pub demoted_by: BTreeMap<&'static str, u64>,
     /// Functions promoted eagerly from a prior run's profile.
     pub warmed: u64,
-    /// Interpreted activations switched to translated code mid-run at a
+    /// Interpreted activations switched to machine code mid-run at a
     /// loop header (on-stack replacement).
     pub osr: u64,
-    /// Functions translated (JIT code-generation invocations).
+    /// Unused (always 0).
     pub translated: u64,
-    /// Instructions dispatched by the interpreter tier.
+    /// Instructions dispatched by the interpreter.
     pub interp_insts: u64,
-    /// Instructions dispatched by the translated tier.
+    /// Unused (always 0).
     pub jit_insts: u64,
-    /// Wall-clock nanoseconds spent translating.
+    /// Unused (always 0).
     pub translate_ns: u64,
-    /// Functions promoted JIT → native machine code.
+    /// Unused (always 0).
     pub native_promoted: u64,
-    /// Functions demoted to the JIT tier after a native translation
-    /// failure (backend bail or `native.translate` fault).
+    /// Unused (always 0).
     pub native_demoted: u64,
-    /// `native_demoted`, split by [`bail`] reason.
+    /// Unused (always empty).
     pub native_demoted_by: BTreeMap<&'static str, u64>,
-    /// Activations switched JIT/interp → native mid-run at a loop header.
+    /// Unused (always 0).
     pub native_osr: u64,
     /// Functions translated by the single-pass native backend.
     pub native_translated: u64,
-    /// Instructions dispatched by the native (machine-code) tier.
+    /// Instructions dispatched as machine code.
     pub native_insts: u64,
     /// Wall-clock nanoseconds spent in the native backend.
     pub native_translate_ns: u64,
 }
 
-/// A frame on the mixed call stack: interpreted, translated, or native.
+/// A frame on the mixed call stack: interpreted or native.
 pub(crate) enum TFrame {
     I(Frame),
-    J(JitFrame),
-    N(crate::native::NatFrame),
-}
-
-/// The bidirectional register-file mapping between the interpreter's
-/// sparse frame (`Vec<Option<VmValue>>`, unassigned = `None`) and the
-/// JIT's dense one (`Vec<VmValue>`, pre-filled with `Ptr(0)`). Register
-/// indices are the same in both forms (an instruction's `InstId` index),
-/// so both directions are plain element-wise copies — OSR (interp → JIT)
-/// and deoptimization (JIT → interp) are exact inverses through this map,
-/// and both happen only at block boundaries where φs have already been
-/// executed on the incoming edge.
-///
-/// The dense form cannot distinguish "assigned `Ptr(0)`" from "never
-/// assigned", so `to_sparse` marks every slot assigned. In verified
-/// modules this is unobservable (defs dominate uses), which is exactly
-/// the property the differential suite pins.
-pub(crate) struct FrameMap;
-
-impl FrameMap {
-    /// Interpreter registers → a dense JIT slab of `n_regs` slots
-    /// (`slab` is a recycled arena vector; cleared and refilled here).
-    pub(crate) fn to_dense(
-        sparse: &[Option<VmValue>],
-        mut slab: Vec<VmValue>,
-        n_regs: usize,
-    ) -> Vec<VmValue> {
-        slab.clear();
-        slab.resize(n_regs, VmValue::Ptr(0));
-        for (i, r) in sparse.iter().enumerate() {
-            if let Some(v) = r {
-                slab[i] = *v;
-            }
-        }
-        slab
-    }
-
-    /// Dense JIT registers → an interpreter frame of `n_slots` slots.
-    pub(crate) fn to_sparse(
-        dense: &[VmValue],
-        mut slab: Vec<Option<VmValue>>,
-        n_slots: usize,
-    ) -> Vec<Option<VmValue>> {
-        slab.clear();
-        slab.resize(n_slots, None);
-        for (i, v) in dense.iter().enumerate().take(n_slots) {
-            slab[i] = Some(*v);
-        }
-        slab
-    }
+    N(NatFrame),
 }
 
 /// Per-tier trace segments: one span per contiguous run of same-tier
@@ -210,7 +155,6 @@ impl TierSegments {
         self.cur = None;
         let name = match tier {
             Tier::Interp => "tier-interp",
-            Tier::Jit => "tier-jit",
             Tier::Native => "tier-native",
         };
         self.cur = Some((trace::span("vm", name), tier));
@@ -249,14 +193,13 @@ impl<'m> Vm<'m> {
     }
 
     /// Call `f` with `args` under the tiered engine: a single stack of
-    /// interpreted, translated and native frames, with counter-driven
-    /// promotion and OSR.
+    /// interpreted and native frames, with counter-driven promotion, OSR
+    /// and deoptimization.
     pub fn run_function_tiered(
         &mut self,
         f: FuncId,
         args: Vec<VmValue>,
     ) -> Result<Option<VmValue>, ExecError> {
-        self.pending_native_osr = None;
         let mut stack: Vec<TFrame> = Vec::new();
         self.push_mixed(&mut stack, f, args, Vec::new())?;
         self.mixed_loop(&mut stack, &mut TierSegments::new())
@@ -265,10 +208,9 @@ impl<'m> Vm<'m> {
     /// Seed tier decisions from a prior run's profile (typically the
     /// lifelong store's accumulated counts): every function whose call
     /// count or hottest block count already exceeds the `tier_up`
-    /// threshold is translated eagerly, so the run starts in the fast
-    /// tier instead of re-warming. Translation failures leave the
-    /// function cold (it may demote later as usual). Returns the number
-    /// of functions warmed.
+    /// threshold is translated eagerly, so the run starts in machine code
+    /// instead of re-warming. A translation failure demotes the function
+    /// as it would at run time. Returns the number of functions warmed.
     pub fn warm_start(&mut self, profile: &ProfileData) -> usize {
         let _sp = trace::span("vm", "warm-start");
         let threshold = self.opts.tier_up;
@@ -322,184 +264,100 @@ impl<'m> Vm<'m> {
             Unwind,
             Osr,
         }
-        'outer: loop {
-            // A pending native OSR is only valid at the check directly
-            // after the edge that set it; any other control transfer
-            // drops it (the frame may no longer sit at a block boundary).
-            self.pending_native_osr = None;
-            let tier_top = match stack.last().expect("frame") {
-                TFrame::I(_) => Tier::Interp,
-                TFrame::J(_) => Tier::Jit,
-                TFrame::N(_) => Tier::Native,
-            };
-            seg.enter(tier_top);
-            if tier_top == Tier::Native {
-                // Native machine-code burst: runs until a call boundary,
-                // return, unwind, or trap.
-                let fr = match stack.last_mut().expect("frame") {
-                    TFrame::N(fr) => fr,
-                    _ => unreachable!(),
-                };
+        loop {
+            if let TFrame::N(fr) = stack.last_mut().expect("frame") {
+                // Machine-code burst: runs until a call boundary, return,
+                // unwind, deoptimization or trap.
+                seg.enter(Tier::Native);
                 match crate::native::run_native_burst(self, fr)? {
                     Flow::Call {
                         target,
                         args,
                         varargs,
-                        ..
-                    } => {
-                        // dst/eh already parked in the frame's typed
-                        // pending slot by the burst loop.
-                        self.push_mixed(stack, target, args, varargs)?;
-                        continue 'outer;
-                    }
+                    } => self.push_mixed(stack, target, args, varargs)?,
                     Flow::Ret(v) => {
                         if let Some(out) = self.deliver_return(stack, v)? {
                             return Ok(out);
                         }
-                        continue 'outer;
                     }
-                    Flow::Unwinding => {
-                        self.deliver_unwind(stack)?;
-                        continue 'outer;
-                    }
-                    Flow::Next | Flow::Deopt { .. } => {
-                        unreachable!("native bursts end at call/ret/unwind")
-                    }
+                    Flow::Unwinding => self.deliver_unwind(stack)?,
+                    Flow::Deopt { block } => self.deopt_enter(stack, block),
                 }
-            } else if tier_top == Tier::Jit {
-                let lf = match stack.last().expect("frame") {
-                    TFrame::J(fr) => fr.lf.clone(),
-                    _ => unreachable!(),
+                continue;
+            }
+            seg.enter(Tier::Interp);
+            // Single-step interpretation of the current frame. The frame
+            // borrow, function lookup, and module access are hoisted out
+            // of the per-instruction loop (they are loop-invariant:
+            // `fr.func` never changes within an activation, and the stack
+            // is untouched until a call / return / unwind / OSR ends the
+            // burst).
+            let m = self.module();
+            let after = {
+                let fr = match stack.last_mut().expect("frame") {
+                    TFrame::I(fr) => fr,
+                    TFrame::N(_) => unreachable!(),
                 };
-                // Tight dispatch over the current translated frame.
+                let func = m.func(fr.func);
                 loop {
-                    let fr = match stack.last_mut().expect("frame") {
-                        TFrame::J(fr) => fr,
-                        _ => unreachable!(),
-                    };
-                    let op = &lf.code[fr.pc];
-                    fr.pc += 1;
-                    match crate::jit::exec_low(self, fr, &lf, op)? {
-                        Flow::Next => {
-                            // A back-edge may just have promoted this
-                            // function to machine code; the frame sits at
-                            // the loop-header boundary, so switch now.
-                            if self.pending_native_osr.is_some() {
-                                let block =
-                                    self.pending_native_osr.take().expect("pending OSR block");
-                                self.native_osr_from_jit(stack, block)?;
-                                continue 'outer;
-                            }
-                        }
-                        Flow::Call {
-                            target,
-                            args,
-                            varargs,
-                            dst,
-                            eh,
-                        } => {
-                            fr.pending = Some((dst, eh));
-                            self.push_mixed(stack, target, args, varargs)?;
-                            continue 'outer;
-                        }
-                        Flow::Ret(v) => {
-                            if let Some(out) = self.deliver_return(stack, v)? {
-                                return Ok(out);
-                            }
-                            continue 'outer;
-                        }
-                        Flow::Unwinding => {
-                            self.deliver_unwind(stack)?;
-                            continue 'outer;
-                        }
-                        Flow::Deopt { block } => {
-                            // The fail edge is already taken: the frame
-                            // sits at the slow block's boundary, where an
-                            // interpreter frame is rebuilt.
-                            self.deopt_enter(stack, block);
-                            continue 'outer;
-                        }
+                    let insts = func.block_insts(fr.block);
+                    if fr.idx >= insts.len() {
+                        return Err(ExecError::trap(
+                            TrapKind::Invalid,
+                            "fell off the end of a block",
+                        ));
                     }
-                }
-            } else {
-                // Single-step interpretation of the current frame. The
-                // frame borrow, function lookup, and module access are
-                // hoisted out of the per-instruction loop (they are
-                // loop-invariant: `fr.func` never changes within an
-                // activation, and the stack is untouched until a call /
-                // return / unwind / OSR ends the burst).
-                let m = self.module();
-                let after = {
-                    let fr = match stack.last_mut().expect("frame") {
-                        TFrame::I(fr) => fr,
-                        _ => unreachable!(),
-                    };
-                    let func = m.func(fr.func);
-                    loop {
-                        let insts = func.block_insts(fr.block);
-                        if fr.idx >= insts.len() {
-                            return Err(ExecError::trap(
-                                TrapKind::Invalid,
-                                "fell off the end of a block",
-                            ));
-                        }
-                        let iid = insts[fr.idx];
-                        let block = fr.block;
-                        let fetched = func.inst(iid);
-                        if !matches!(fetched, Inst::Phi { .. }) {
-                            self.charge(Tier::Interp, fetched.opcode_index())?;
-                        }
-                        match self.step(fr, block, iid, fetched)? {
-                            StepResult::Continue => fr.idx += 1,
-                            StepResult::Jumped => {
-                                // A back-edge (jump to the same or an
-                                // earlier block) marks a loop iteration:
-                                // bump the hotness counter, and if the
-                                // function is (or just became) hot, switch
-                                // this activation to translated or native
-                                // code at the header (OSR).
-                                if fr.block.index() <= block.index() {
-                                    let f = fr.func;
-                                    self.tier_bump(f);
-                                    if matches!(
-                                        self.tier[f.index()],
-                                        TierCell::Hot(_) | TierCell::Native
-                                    ) {
-                                        break After::Osr;
-                                    }
+                    let iid = insts[fr.idx];
+                    let block = fr.block;
+                    let fetched = func.inst(iid);
+                    if !matches!(fetched, Inst::Phi { .. }) {
+                        self.charge(Tier::Interp, fetched.opcode_index())?;
+                    }
+                    match self.step(fr, block, iid, fetched)? {
+                        StepResult::Continue => fr.idx += 1,
+                        StepResult::Jumped => {
+                            // A back-edge (jump to the same or an earlier
+                            // block) marks a loop iteration: bump the
+                            // hotness counter, and if the function is (or
+                            // just became) native, switch this activation
+                            // to machine code at the header (OSR).
+                            if fr.block.index() <= block.index() {
+                                let f = fr.func;
+                                self.tier_bump(f);
+                                if matches!(self.tier[f.index()], TierCell::Native) {
+                                    break After::Osr;
                                 }
                             }
-                            StepResult::Call {
+                        }
+                        StepResult::Call {
+                            target,
+                            fixed,
+                            extra,
+                        } => {
+                            break After::Call {
                                 target,
                                 fixed,
                                 extra,
-                            } => {
-                                break After::Call {
-                                    target,
-                                    fixed,
-                                    extra,
-                                }
                             }
-                            StepResult::Returned(v) => break After::Ret(v),
-                            StepResult::Unwinding => break After::Unwind,
                         }
+                        StepResult::Returned(v) => break After::Ret(v),
+                        StepResult::Unwinding => break After::Unwind,
                     }
-                };
-                match after {
-                    After::Call {
-                        target,
-                        fixed,
-                        extra,
-                    } => self.push_mixed(stack, target, fixed, extra)?,
-                    After::Ret(v) => {
-                        if let Some(out) = self.deliver_return(stack, v)? {
-                            return Ok(out);
-                        }
-                    }
-                    After::Unwind => self.deliver_unwind(stack)?,
-                    After::Osr => self.osr_any(stack)?,
                 }
-                continue 'outer;
+            };
+            match after {
+                After::Call {
+                    target,
+                    fixed,
+                    extra,
+                } => self.push_mixed(stack, target, fixed, extra)?,
+                After::Ret(v) => {
+                    if let Some(out) = self.deliver_return(stack, v)? {
+                        return Ok(out);
+                    }
+                }
+                After::Unwind => self.deliver_unwind(stack)?,
+                After::Osr => self.osr_enter(stack)?,
             }
         }
     }
@@ -515,28 +373,17 @@ impl<'m> Vm<'m> {
         if stack.len() >= self.opts.max_stack {
             return Err(ExecError::trap(TrapKind::StackOverflow, "call depth"));
         }
-        match self.tier_decide_call(f) {
-            Tier::Native => {
-                if let Some(fr) = self.make_native_frame(f, &args)? {
-                    stack.push(TFrame::N(fr));
-                } else {
-                    // An actual argument defies the declared class
-                    // (possible only through mistyped indirect calls):
-                    // the JIT frame represents any value, so this call
-                    // runs one tier down.
-                    let fr = self.make_jit_frame(f, args, varargs)?;
-                    stack.push(TFrame::J(fr));
-                }
-            }
-            Tier::Jit => {
-                let fr = self.make_jit_frame(f, args, varargs)?;
-                stack.push(TFrame::J(fr));
-            }
-            Tier::Interp => {
-                let fr = self.make_frame(f, args, varargs)?;
-                stack.push(TFrame::I(fr));
+        if self.tier_decide_call(f) == Tier::Native {
+            // `None` when an actual argument defies the declared class
+            // (possible only through mistyped indirect calls): the
+            // interpreter represents any value, so this call runs there.
+            if let Some(fr) = self.make_native_frame(f, &args)? {
+                stack.push(TFrame::N(fr));
+                return Ok(());
             }
         }
+        let fr = self.make_frame(f, args, varargs)?;
+        stack.push(TFrame::I(fr));
         Ok(())
     }
 
@@ -544,7 +391,6 @@ impl<'m> Vm<'m> {
     fn pop_mixed(&mut self, stack: &mut Vec<TFrame>) -> Result<(), ExecError> {
         match stack.pop().expect("frame to pop") {
             TFrame::I(fr) => self.recycle_frame(fr),
-            TFrame::J(fr) => self.recycle_jit_frame(fr),
             TFrame::N(fr) => self.recycle_native_frame(fr),
         }
     }
@@ -577,16 +423,6 @@ impl<'m> Vm<'m> {
                     fr.idx += 1;
                 }
             }
-            TFrame::J(fr) => {
-                let (dst, eh) = fr.pending.take().expect("pending call");
-                if let (Some(d), Some(v)) = (dst, v) {
-                    fr.regs[d as usize] = v;
-                }
-                if let Some((normal, _)) = eh {
-                    let lf = fr.lf.clone();
-                    self.take_edge(fr, &lf, normal)?;
-                }
-            }
             TFrame::N(fr) => {
                 let (dst, eh) = fr.pending.take().expect("pending call");
                 if let (Some((h, cl)), Some(v)) = (dst, v) {
@@ -600,7 +436,7 @@ impl<'m> Vm<'m> {
                             "native call result class mismatch",
                         ));
                     }
-                    fr.put(h, crate::native::low32(&v));
+                    fr.put(h, crate::native::bits(&v));
                 }
                 if let Some((normal, _)) = eh {
                     let code = fr.code.clone();
@@ -618,7 +454,6 @@ impl<'m> Vm<'m> {
             if let Some(top) = stack.last() {
                 let f = match top {
                     TFrame::I(fr) => fr.func,
-                    TFrame::J(fr) => fr.func,
                     TFrame::N(fr) => fr.func,
                 };
                 let fname = self.module().func(f).name.clone();
@@ -645,14 +480,6 @@ impl<'m> Vm<'m> {
                     }
                     // A plain call: keep unwinding through it.
                 }
-                TFrame::J(fr) => {
-                    let (_, eh) = fr.pending.take().expect("pending call");
-                    if let Some((_, unwind)) = eh {
-                        let lf = fr.lf.clone();
-                        self.take_edge(fr, &lf, unwind)?;
-                        return Ok(());
-                    }
-                }
                 TFrame::N(fr) => {
                     let (_, eh) = fr.pending.take().expect("pending call");
                     if let Some((_, unwind)) = eh {
@@ -666,22 +493,17 @@ impl<'m> Vm<'m> {
     }
 
     /// Tier decision at a call boundary: native functions run machine
-    /// code, hot ones run translated, demoted ones interpret, cold ones
-    /// bump their counter (a call is a hotness event) and may promote
-    /// right here. A fresh JIT promotion immediately counts the same
-    /// call toward native hotness, so `tier_up 0` + `native_up 0` runs
-    /// everything native from the first call.
+    /// code, demoted ones interpret, cold ones bump their counter (a call
+    /// is a hotness event) and may promote right here, so `tier_up 0`
+    /// runs every function native from its first call.
     fn tier_decide_call(&mut self, f: FuncId) -> Tier {
         match self.tier[f.index()] {
             TierCell::Native => Tier::Native,
-            TierCell::NativeDemoted => Tier::Jit,
             TierCell::Demoted => Tier::Interp,
-            TierCell::Hot(_) => self.jit_or_native(f),
-            TierCell::Cold(n) => {
-                let n = n.saturating_add(1);
-                self.tier[f.index()] = TierCell::Cold(n);
-                if n > self.opts.tier_up && self.try_promote(f) {
-                    self.jit_or_native(f)
+            TierCell::Cold(_) => {
+                self.tier_bump(f);
+                if matches!(self.tier[f.index()], TierCell::Native) {
+                    Tier::Native
                 } else {
                     Tier::Interp
                 }
@@ -689,54 +511,26 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// A call into JIT-tier `f`: count it toward native hotness and run
-    /// whichever translated tier it is on afterwards.
-    fn jit_or_native(&mut self, f: FuncId) -> Tier {
-        if self.native_call_bump(f) {
-            Tier::Native
-        } else {
-            Tier::Jit
-        }
-    }
-
-    /// Count a hotness event against a JIT-tier function's native
-    /// counter; promote to machine code when the threshold is crossed.
-    /// Returns whether the function is on the native tier afterwards.
-    fn native_call_bump(&mut self, f: FuncId) -> bool {
-        if let TierCell::Hot(n) = self.tier[f.index()] {
-            let n = n.saturating_add(1);
-            self.tier[f.index()] = TierCell::Hot(n);
-            if n > self.opts.native_up {
-                return self.try_promote_native(f);
-            }
-        }
-        matches!(self.tier[f.index()], TierCell::Native)
-    }
-
-    /// Bump `f`'s hotness counter for a loop back-edge; promote when the
-    /// relevant threshold is crossed (cold → JIT, JIT → native).
+    /// Count a hotness event (call or loop back-edge) against a cold
+    /// function; promote it when the threshold is crossed.
     fn tier_bump(&mut self, f: FuncId) {
-        match self.tier[f.index()] {
-            TierCell::Cold(n) => {
-                let n = n.saturating_add(1);
-                self.tier[f.index()] = TierCell::Cold(n);
-                if n > self.opts.tier_up {
-                    self.try_promote(f);
-                }
+        if let TierCell::Cold(n) = self.tier[f.index()] {
+            let n = n.saturating_add(1);
+            self.tier[f.index()] = TierCell::Cold(n);
+            if n > self.opts.tier_up {
+                self.try_promote(f);
             }
-            TierCell::Hot(_) => {
-                self.native_call_bump(f);
-            }
-            _ => {}
         }
     }
 
-    /// Translate `f` and mark it `Hot`; on failure mark it `Demoted` (it
-    /// keeps interpreting). Returns whether the function is now hot.
+    /// Translate `f` to machine code and mark it `Native`; on failure — a
+    /// backend bail or an injected `native.translate` fault — mark it
+    /// `Demoted` (it keeps interpreting, the program keeps running).
+    /// Returns whether the function is native.
     fn try_promote(&mut self, f: FuncId) -> bool {
-        match self.ensure_translated(f) {
+        match self.ensure_native_translated(f) {
             Ok(_) => {
-                self.tier[f.index()] = TierCell::Hot(0);
+                self.tier[f.index()] = TierCell::Native;
                 self.tier_stats.promoted += 1;
                 if trace::enabled() {
                     trace::instant_args(
@@ -748,175 +542,46 @@ impl<'m> Vm<'m> {
                 true
             }
             Err(b) => {
-                // `ensure_translated` already emitted the bail-to-interp
-                // instant with the error.
-                self.tier[f.index()] = TierCell::Demoted;
-                self.tier_stats.demoted += 1;
-                *self.tier_stats.demoted_by.entry(b.reason).or_default() += 1;
-                if trace::enabled() {
-                    trace::instant_args(
-                        "vm",
-                        "tier-demote",
-                        vec![("function", self.module().func(f).name.clone())],
-                    );
-                }
-                false
-            }
-        }
-    }
-
-    /// Translate `f` to machine code and mark it `Native`; on failure —
-    /// a backend bail or an injected `native.translate` fault — mark it
-    /// `NativeDemoted` (it stays on the JIT tier permanently, the
-    /// program keeps running). Returns whether the function is native.
-    fn try_promote_native(&mut self, f: FuncId) -> bool {
-        match self.ensure_native_translated(f) {
-            Ok(_) => {
-                self.tier[f.index()] = TierCell::Native;
-                self.tier_stats.native_promoted += 1;
-                if trace::enabled() {
-                    trace::instant_args(
-                        "vm",
-                        "tier-up-native",
-                        vec![("function", self.module().func(f).name.clone())],
-                    );
-                }
-                true
-            }
-            Err(b) => {
                 // `ensure_native_translated` already emitted the
-                // bail-to-jit instant with the error.
-                self.tier[f.index()] = TierCell::NativeDemoted;
-                self.tier_stats.native_demoted += 1;
-                *self
-                    .tier_stats
-                    .native_demoted_by
-                    .entry(b.reason)
-                    .or_default() += 1;
-                if trace::enabled() {
-                    trace::instant_args(
-                        "vm",
-                        "tier-demote-native",
-                        vec![("function", self.module().func(f).name.clone())],
-                    );
-                }
+                // bail-to-interp instant with the error.
+                self.demote(f, b.reason);
                 false
             }
         }
     }
 
-    /// Count a JIT-dispatched loop back-edge toward native promotion.
-    /// Called from [`Vm::take_edge`]; when the function is — or just
-    /// became — native, requests an OSR at `to_block`, consumed by the
-    /// dispatch loop at the very next boundary check.
-    pub(crate) fn native_backedge_bump(&mut self, f: FuncId, to_block: u32) {
-        // Also true for a function promoted at a call boundary while this
-        // activation kept running translated code: switch it here too.
-        if self.native_call_bump(f) {
-            self.pending_native_osr = Some(to_block);
+    /// Mark `f` permanently interpreted, counting the demotion once.
+    fn demote(&mut self, f: FuncId, reason: &'static str) {
+        if matches!(self.tier[f.index()], TierCell::Demoted) {
+            return;
         }
-    }
-
-    /// OSR dispatch for an interpreted frame whose function moved up the
-    /// ladder: native if possible, JIT otherwise.
-    fn osr_any(&mut self, stack: &mut [TFrame]) -> Result<(), ExecError> {
-        let f = match stack.last().expect("frame") {
-            TFrame::I(fr) => fr.func,
-            _ => return Ok(()),
-        };
-        if matches!(self.tier[f.index()], TierCell::Native) && self.native_osr_enter(stack)? {
-            return Ok(());
+        self.tier[f.index()] = TierCell::Demoted;
+        self.tier_stats.demoted += 1;
+        *self.tier_stats.demoted_by.entry(reason).or_default() += 1;
+        if trace::enabled() {
+            trace::instant_args(
+                "vm",
+                "tier-demote",
+                vec![("function", self.module().func(f).name.clone())],
+            );
         }
-        self.osr_enter(stack)
     }
 
     /// On-stack replacement, interpreter → native: the top frame must be
-    /// interpreted and at a block boundary (`idx == 0`). Homes are a
-    /// pure function of `InstId`, so the rebuild is one table-driven
-    /// truncating copy. Returns `false` (frame untouched) when an
-    /// argument's class defies the declared signature — the caller then
-    /// falls back to JIT OSR, which represents any value.
-    fn native_osr_enter(&mut self, stack: &mut [TFrame]) -> Result<bool, ExecError> {
-        let top = stack.last_mut().expect("frame");
-        let TFrame::I(fr) = top else {
-            return Ok(false);
+    /// interpreted and at a block boundary (`idx == 0`, right after a
+    /// `transfer`, so φs are done). Homes are a pure function of
+    /// `InstId`, so the rebuild is one table-driven copy. When an
+    /// argument's class defies the declared signature the frame keeps
+    /// interpreting (correct either way; machine code is an
+    /// optimization, never a semantic requirement).
+    fn osr_enter(&mut self, stack: &mut [TFrame]) -> Result<(), ExecError> {
+        let Some(TFrame::I(fr)) = stack.last_mut() else {
+            return Ok(());
         };
         debug_assert_eq!(fr.idx, 0, "OSR only at a block boundary");
         let nf = match self.native_frame_from_interp(fr) {
             Ok(Some(nf)) => nf,
-            Ok(None) | Err(_) => return Ok(false),
-        };
-        let mut old_regs = std::mem::take(&mut fr.regs);
-        old_regs.clear();
-        self.interp_reg_pool.push(old_regs);
-        self.tier_stats.native_osr += 1;
-        if trace::enabled() {
-            trace::instant_args(
-                "vm",
-                "tier-osr-native",
-                vec![("function", self.module().func(nf.func).name.clone())],
-            );
-        }
-        *stack.last_mut().expect("frame") = TFrame::N(nf);
-        Ok(true)
-    }
-
-    /// On-stack replacement, JIT → native, at the `block` boundary a
-    /// back-edge just landed on. A class mismatch leaves the translated
-    /// frame running (correct either way; machine code is an
-    /// optimization, never a semantic requirement).
-    fn native_osr_from_jit(&mut self, stack: &mut [TFrame], block: u32) -> Result<(), ExecError> {
-        let top = stack.last_mut().expect("frame");
-        let TFrame::J(fr) = top else {
-            return Ok(());
-        };
-        let nf = match self.native_frame_from_jit(fr, block) {
-            Ok(Some(nf)) => nf,
             Ok(None) | Err(_) => return Ok(()),
-        };
-        let mut old_regs = std::mem::take(&mut fr.regs);
-        old_regs.clear();
-        self.jit_reg_pool.push(old_regs);
-        self.tier_stats.native_osr += 1;
-        if trace::enabled() {
-            trace::instant_args(
-                "vm",
-                "tier-osr-native",
-                vec![("function", self.module().func(nf.func).name.clone())],
-            );
-        }
-        *stack.last_mut().expect("frame") = TFrame::N(nf);
-        Ok(())
-    }
-
-    /// On-stack replacement: the top frame must be interpreted, sitting
-    /// at a block boundary (`idx == 0`, right after a `transfer`), and
-    /// its function must have translated code. The frame is rebuilt in
-    /// translated form at the same block: φs were already executed by the
-    /// transfer, so entering at the block's first non-φ pc with the
-    /// registers copied over is state-identical.
-    fn osr_enter(&mut self, stack: &mut [TFrame]) -> Result<(), ExecError> {
-        let top = stack.last_mut().expect("frame");
-        let TFrame::I(fr) = top else {
-            return Ok(());
-        };
-        debug_assert_eq!(fr.idx, 0, "OSR only at a block boundary");
-        let Some(lf) = self.jit_cache[fr.func.index()].clone() else {
-            return Ok(());
-        };
-        let slab = self.jit_reg_pool.pop().unwrap_or_default();
-        let regs = FrameMap::to_dense(&fr.regs, slab, lf.n_regs);
-        let pc = lf.block_pc[fr.block.index()];
-        let jfr = JitFrame {
-            func: fr.func,
-            lf,
-            regs,
-            args: std::mem::take(&mut fr.args),
-            varargs: std::mem::take(&mut fr.varargs),
-            va_next: fr.va_next,
-            pc,
-            allocas: std::mem::take(&mut fr.allocas),
-            pending: None,
         };
         let mut old_regs = std::mem::take(&mut fr.regs);
         old_regs.clear();
@@ -926,33 +591,30 @@ impl<'m> Vm<'m> {
             trace::instant_args(
                 "vm",
                 "tier-osr",
-                vec![("function", self.module().func(jfr.func).name.clone())],
+                vec![("function", self.module().func(nf.func).name.clone())],
             );
         }
-        *stack.last_mut().expect("frame") = TFrame::J(jfr);
+        *stack.last_mut().expect("frame") = TFrame::N(nf);
         Ok(())
     }
 
-    /// Deoptimization: the exact inverse of [`Vm::osr_enter`]. The top
-    /// frame must be translated and sitting at a block boundary (a guard's
-    /// fail edge was just taken, so φs are done and `pc` is at the block's
-    /// first instruction). The frame is rebuilt in interpreted form at
-    /// that block through the shared [`FrameMap`].
+    /// Deoptimization: the inverse of [`Vm::osr_enter`]. The top frame
+    /// must be native and sitting at a block boundary (a guard's fail
+    /// edge was just taken, so φs are done and `pc` is at the block's
+    /// first op). The frame is rebuilt in interpreted form at that block
+    /// through the home table ([`NatFrame::interp_regs`]).
     ///
     /// The `tier.deopt` fault site fires inside the register
     /// reconstruction; a panic there (injected or real) must not kill a
-    /// running program whose translated frame is still perfectly valid —
+    /// running program whose native frame is still perfectly valid —
     /// the function is demoted for future calls and the current
-    /// activation keeps executing translated code (the slow path is
+    /// activation keeps executing machine code (the slow path is
     /// ordinary code, so semantics are preserved either way).
     fn deopt_enter(&mut self, stack: &mut [TFrame], block: u32) {
-        let top = stack.last_mut().expect("frame");
-        let TFrame::J(fr) = top else {
+        let Some(TFrame::N(fr)) = stack.last_mut() else {
             return;
         };
-        let n_slots = self.m_num_inst_slots(fr.func);
         let slab = self.interp_reg_pool.pop().unwrap_or_default();
-        let dense = &fr.regs;
         let mut reason = bail::OTHER;
         let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(a) = lpat_core::faultpoint!("tier.deopt") {
@@ -964,64 +626,44 @@ impl<'m> Vm<'m> {
                     }
                 }
             }
-            FrameMap::to_sparse(dense, slab, n_slots)
+            fr.interp_regs(slab)
         }));
-        match rebuilt {
-            Ok(regs) => {
-                let ifr = Frame {
-                    func: fr.func,
-                    args: std::mem::take(&mut fr.args),
-                    varargs: std::mem::take(&mut fr.varargs),
-                    va_next: fr.va_next,
-                    regs,
-                    block: BlockId::from_index(block as usize),
-                    idx: 0,
-                    allocas: std::mem::take(&mut fr.allocas),
-                    pending: None,
-                };
-                let mut old = std::mem::take(&mut fr.regs);
-                old.clear();
-                self.jit_reg_pool.push(old);
-                self.spec_stats.deopts += 1;
-                if trace::enabled() {
-                    trace::instant_args(
-                        "vm",
-                        "deopt",
-                        vec![
-                            ("function", self.module().func(ifr.func).name.clone()),
-                            ("block", format!("bb{block}")),
-                        ],
-                    );
-                }
-                *stack.last_mut().expect("frame") = TFrame::I(ifr);
-            }
-            Err(_) => {
-                let f = fr.func;
-                self.tier[f.index()] = TierCell::Demoted;
-                self.tier_stats.demoted += 1;
-                *self.tier_stats.demoted_by.entry(reason).or_default() += 1;
-                if trace::enabled() {
-                    trace::instant_args(
-                        "vm",
-                        "tier-demote",
-                        vec![("function", self.module().func(f).name.clone())],
-                    );
-                }
-            }
+        let Ok(regs) = rebuilt else {
+            let f = fr.func;
+            self.demote(f, reason);
+            return;
+        };
+        let ifr = Frame {
+            func: fr.func,
+            args: fr.args(),
+            varargs: Vec::new(),
+            va_next: 0,
+            regs,
+            block: BlockId::from_index(block as usize),
+            idx: 0,
+            allocas: std::mem::take(&mut fr.allocas),
+            pending: None,
+        };
+        self.recycle_native_regs(fr);
+        self.spec_stats.deopts += 1;
+        if trace::enabled() {
+            trace::instant_args(
+                "vm",
+                "deopt",
+                vec![
+                    ("function", self.module().func(ifr.func).name.clone()),
+                    ("block", format!("bb{block}")),
+                ],
+            );
         }
-    }
-
-    /// Register-slot count of `f` (helper so `deopt_enter`'s closure
-    /// borrows no part of `self`).
-    fn m_num_inst_slots(&self, f: FuncId) -> usize {
-        self.module().func(f).num_inst_slots()
+        *stack.last_mut().expect("frame") = TFrame::I(ifr);
     }
 }
 
 impl TierStats {
     /// Human-readable tier table for `--stats`.
     pub fn render(&self) -> String {
-        let total = self.interp_insts + self.jit_insts + self.native_insts;
+        let total = self.interp_insts + self.native_insts;
         let pct = |n: u64| {
             if total == 0 {
                 0.0
@@ -1034,11 +676,6 @@ impl TierStats {
             "  interp insts    {:>12}  ({:.1}%)\n",
             self.interp_insts,
             pct(self.interp_insts)
-        ));
-        s.push_str(&format!(
-            "  jit insts       {:>12}  ({:.1}%)\n",
-            self.jit_insts,
-            pct(self.jit_insts)
         ));
         s.push_str(&format!(
             "  native insts    {:>12}  ({:.1}%)\n",
@@ -1055,20 +692,6 @@ impl TierStats {
             by_reason(&self.demoted_by)
         ));
         s.push_str(&format!(
-            "  translated      {:>12}  ({} us)\n",
-            self.translated,
-            self.translate_ns / 1_000
-        ));
-        s.push_str(&format!(
-            "  native promoted {:>12}  (osr {})\n",
-            self.native_promoted, self.native_osr
-        ));
-        s.push_str(&format!(
-            "  native demoted  {:>12}{}\n",
-            self.native_demoted,
-            by_reason(&self.native_demoted_by)
-        ));
-        s.push_str(&format!(
             "  native compiled {:>12}  ({} us)\n",
             self.native_translated,
             self.native_translate_ns / 1_000
@@ -1077,8 +700,8 @@ impl TierStats {
     }
 }
 
-/// `  (float 2, guard 1)` in [`bail::ALL`] order, or nothing when no
-/// function was demoted.
+/// `  (varargs 2, injected_fault 1)` in [`bail::ALL`] order, or nothing
+/// when no function was demoted.
 fn by_reason(counts: &BTreeMap<&'static str, u64>) -> String {
     let parts: Vec<String> = bail::ALL
         .iter()

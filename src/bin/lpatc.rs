@@ -42,18 +42,17 @@
 //! # Tiered execution
 //!
 //! `run --tiered` starts every function in the profiling interpreter and
-//! promotes it to the translated tier once its hotness counter (calls +
-//! loop back-edges) exceeds the threshold (`--tier-up N`, default 50;
-//! `--tier-up` implies `--tiered`). A function that stays hot on the JIT
-//! tier — the same threshold again, counted from its JIT promotion — is
-//! translated once more, by the single-pass backend in
-//! `lpat_codegen::fast`, to risc32 machine code executed by the
-//! fuel-metered emulator in `lpat_vm::native`. With a
-//! lifelong store (`--cache-dir`) or `--profile-in`, functions recorded
-//! hot in *prior* runs are translated eagerly at load (warm-start), so a
-//! repeat run skips the warm-up entirely. `--stats` prints a per-tier
-//! instruction table. Tiered execution is observationally identical to
-//! the plain interpreter at any threshold, machine-code tier included.
+//! promotes it once its hotness counter (calls + loop back-edges) exceeds
+//! the threshold (`--tier-up N`, default 50; `--tier-up` implies
+//! `--tiered`): the single-pass backend in `lpat_codegen::fast`
+//! translates it to risc32 machine code, executed by the fuel-metered
+//! emulator in `lpat_vm::native`. A failing speculation guard drops the
+//! activation back into the interpreter. With a lifelong store
+//! (`--cache-dir`) or `--profile-in`, functions recorded hot in *prior*
+//! runs are translated eagerly at load (warm-start), so a repeat run
+//! skips the warm-up entirely. `--stats` prints a per-tier instruction
+//! table. Tiered execution is observationally identical to the plain
+//! interpreter at any threshold.
 //!
 //! # Speculative PGO
 //!
@@ -275,12 +274,10 @@ fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, Str
                     Err(e) => diag.warn(&format!("--profile-in {p}: {e}; starting fresh")),
                 }
             }
-            // `--tier-up N` implies `--tiered` and sets both rungs: JIT
-            // promotion, and native promotion counted again from there.
+            // `--tier-up N` implies `--tiered`.
             let tier_up_flag = flag_value(rest, "--tier-up");
             if let Some(v) = tier_up_flag {
                 opts.tier_up = v.parse().map_err(|_| "bad --tier-up value")?;
-                opts.native_up = opts.tier_up;
             }
             let use_tiered = has_flag(rest, "--tiered") || tier_up_flag.is_some();
             let profiling = opts.profile;

@@ -408,9 +408,9 @@ fn lpatc_degrades_cleanly_under_fault_matrix() {
 /// the program must still print the unspeculated answer, interpreted or
 /// tiered), `tier.deopt` (panic during deopt frame reconstruction —
 /// the function is demoted and the run completes on the still-valid
-/// translated frame), and `native.translate` (the single-pass machine
-/// code backend fails — the function is permanently demoted to the JIT
-/// tier and the answer is unchanged). CI runs one leg per job via
+/// native frame), and `native.translate` (the single-pass machine
+/// code backend fails — the function is permanently demoted to the
+/// interpreter and the answer is unchanged). CI runs one leg per job via
 /// `LPAT_FAULTS_MATRIX=<site>`; locally all legs run.
 #[test]
 fn lpatc_vm_fault_sites_degrade_cleanly() {
@@ -499,8 +499,8 @@ x:
             }
             "tier.deopt" => {
                 // Frame reconstruction panics on the guard exit: the
-                // function demotes, execution continues in translated
-                // code, and the answer is unchanged.
+                // function demotes, execution continues in machine code,
+                // and the answer is unchanged.
                 let out = lpatc()
                     .arg("run")
                     .arg(&p)
@@ -524,8 +524,8 @@ x:
             }
             "native.translate" => {
                 // The machine-code backend fails on every candidate: each
-                // hot function is permanently demoted to the JIT tier, no
-                // native instructions ever retire, and the answer is
+                // hot function is permanently demoted to the interpreter,
+                // no native instructions ever retire, and the answer is
                 // unchanged.
                 let out = lpatc()
                     .arg("run")
@@ -545,7 +545,7 @@ x:
                         .unwrap_or_else(|| panic!("no `{label}` row in stats:\n{stderr}"))
                 };
                 assert!(
-                    row("native demoted") >= 1,
+                    row("demoted") >= 1,
                     "translate fault never demoted:\n{stderr}"
                 );
                 assert_eq!(

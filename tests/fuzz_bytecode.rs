@@ -62,11 +62,7 @@ fn must_not_panic(buf: &[u8], what: &str) {
                 if let Ok(mut vm) = Vm::new(&m, opts.clone()) {
                     let _ = vm.run_main();
                 }
-                let eager = VmOptions {
-                    tier_up: 0,
-                    native_up: 0,
-                    ..opts
-                };
+                let eager = VmOptions { tier_up: 0, ..opts };
                 if let Ok(mut vm) = Vm::new(&m, eager) {
                     let _ = vm.run_main_tiered();
                 }

@@ -165,28 +165,65 @@ fn linker_compact_is_dead_type_elimination() {
 
 #[test]
 fn jit_and_interpreter_agree_on_the_whole_suite() {
-    // The paper's two execution paths (§3.4: offline codegen vs JIT
-    // translation) must be observationally identical; here the reference
-    // interpreter and the translating engine — every function on the JIT
-    // tier from its first call, never promoted to machine code — run
-    // every benchmark.
-    let jit = VmOptions {
+    // The paper's two execution paths (§3.4: the portable interpreter vs
+    // a JIT "translating one function at a time") must be
+    // observationally identical. With `tier_up 0` every function is
+    // translated to machine code on its first call, so this is also the
+    // single-pass backend's coverage check: no function of any
+    // benchmark may be demoted, and a plain run interprets nothing.
+    // Speculated runs add guards; a failing guard deoptimizes into the
+    // interpreter, so only they may interpret.
+    let eager = VmOptions {
         tier_up: 0,
-        native_up: u64::MAX,
         ..VmOptions::default()
     };
-    for (name, m) in lpat::workloads::compile_suite(0) {
-        let mut a = Vm::new(&m, VmOptions::default()).unwrap();
+    let run_both = |name: &str, m: &lpat::core::Module, spec: Option<&lpat::transform::SpecMap>| {
+        let install = |vm: &mut Vm| {
+            if let Some(map) = spec {
+                vm.install_speculation(std::rc::Rc::new(map.clone()), map.len() as u64, 0);
+            }
+        };
+        let mut a = Vm::new(m, VmOptions::default()).unwrap();
+        install(&mut a);
         let ra = a
             .run_main()
             .unwrap_or_else(|e| panic!("{name} interp: {e}"));
-        let mut b = Vm::new(&m, jit.clone()).unwrap();
+        let mut b = Vm::new(m, eager.clone()).unwrap();
+        install(&mut b);
         let rb = b
             .run_main_tiered()
-            .unwrap_or_else(|e| panic!("{name} jit: {e}"));
+            .unwrap_or_else(|e| panic!("{name} native: {e}"));
         assert_eq!(ra, rb, "{name}: exit codes differ");
         assert_eq!(a.output, b.output, "{name}: output differs");
+        let t = &b.tier_stats;
+        assert!(t.native_demoted_by.is_empty(), "{name}: {t:?}");
+        assert!(t.demoted_by.is_empty(), "{name}: demoted {t:?}");
+        t.interp_insts
+    };
+    let mut guarded = 0;
+    for (name, m) in lpat::workloads::compile_suite(0) {
+        assert_eq!(run_both(name, &m, None), 0, "{name}: plain run interpreted");
+        let mut profiler = Vm::new(
+            &m,
+            VmOptions {
+                profile: true,
+                ..VmOptions::default()
+            },
+        )
+        .unwrap();
+        profiler.run_main().unwrap();
+        let mut sm = m.clone();
+        let (map, _plan) = lpat::transform::speculate::speculate(
+            &mut sm,
+            &profiler.profile.to_spec_profile(),
+            &lpat::transform::SpecOptions::default(),
+        );
+        sm.verify()
+            .unwrap_or_else(|e| panic!("{name}: speculated module broken: {e:?}"));
+        guarded += map.len();
+        run_both(name, &sm, Some(&map));
     }
+    assert!(guarded > 0, "no workload was speculated");
 }
 
 #[test]
