@@ -431,9 +431,22 @@ fn tmp(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
-#[test]
-fn tiered_demotes_and_matches_interp_under_translate_fault() {
-    let src = "
+/// First number on the `--stats` row that starts with `label`.
+fn stats_row(stats: &str, label: &str) -> u64 {
+    stats
+        .lines()
+        .find(|l| l.trim_start().starts_with(label))
+        .and_then(|l| {
+            l.split_whitespace()
+                .filter_map(|w| w.parse::<u64>().ok())
+                .next()
+        })
+        .unwrap_or_else(|| panic!("no '{label}' row in stats:\n{stats}"))
+}
+
+/// A hot callee under a hot loop: with `--tier-up 1` both `@hot` and
+/// `main` are translated, so a fault plan can hit either.
+const FAULT_WORKLOAD: &str = "
 declare void @print_int(int)
 define int @hot(int %x) {
 e:
@@ -458,8 +471,11 @@ x:
   call void @print_int(int %m)
   ret int %m
 }";
+
+#[test]
+fn tiered_demotes_and_matches_interp_under_translate_fault() {
     let p = tmp("tiered_fault.ll");
-    std::fs::write(&p, src).unwrap();
+    std::fs::write(&p, FAULT_WORKLOAD).unwrap();
 
     let reference = lpatc().arg("run").arg(&p).arg("--quiet").output().unwrap();
 
@@ -488,17 +504,7 @@ x:
     // The demotion is visible in the tier table: demoted functions, zero
     // native instructions, and the interpreter picking up the slack.
     let stats = String::from_utf8_lossy(&faulted.stderr);
-    let row = |label: &str| -> u64 {
-        stats
-            .lines()
-            .find(|l| l.trim_start().starts_with(label))
-            .and_then(|l| {
-                l.split_whitespace()
-                    .filter_map(|w| w.parse::<u64>().ok())
-                    .next()
-            })
-            .unwrap_or_else(|| panic!("no '{label}' row in stats:\n{stats}"))
-    };
+    let row = |label: &str| stats_row(&stats, label);
     assert!(row("demoted") >= 1, "stats:\n{stats}");
     assert!(
         stats.contains("(injected_fault "),
@@ -506,19 +512,40 @@ x:
     );
     assert_eq!(row("native insts"), 0, "stats:\n{stats}");
     assert!(row("interp insts") > 0, "stats:\n{stats}");
+}
 
-    // A fault on only the *first* translation demotes one function; the
-    // rest still promote, and the answer is still right.
+#[test]
+fn native_demotes_to_jit_and_matches_interp_under_translate_fault() {
+    // The name is from the three-rung ladder, where a `native.translate`
+    // fault fell back to a second translator. The ladder is now
+    // interp ⇄ native, so the faulted function demotes to the
+    // interpreter. A fault on only the *first* translation demotes that
+    // one function; the other still reaches machine code, and the answer
+    // is unchanged.
+    let p = tmp("native_fault.ll");
+    std::fs::write(&p, FAULT_WORKLOAD).unwrap();
+
+    let reference = lpatc().arg("run").arg(&p).arg("--quiet").output().unwrap();
     let partial = lpatc()
         .arg("run")
         .arg(&p)
         .args(["--tier-up", "1"])
         .args(["--inject-faults", "native.translate:io@1"])
-        .arg("--quiet")
+        .args(["--stats", "--quiet"])
         .output()
         .unwrap();
     assert_eq!(reference.status.code(), partial.status.code());
     assert_eq!(reference.stdout, partial.stdout);
+    let stats = String::from_utf8_lossy(&partial.stderr);
+    let row = |label: &str| stats_row(&stats, label);
+    assert_eq!(row("demoted"), 1, "stats:\n{stats}");
+    assert!(
+        stats.contains("(injected_fault 1)"),
+        "demotion not attributed to the fault:\n{stats}"
+    );
+    assert!(row("promoted") >= 1, "stats:\n{stats}");
+    assert!(row("native insts") > 0, "stats:\n{stats}");
+    assert!(row("interp insts") > 0, "stats:\n{stats}");
 }
 
 // ---------------------------------------------------------------------
